@@ -12,7 +12,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional, Sequence, TextIO
 
 from . import abalone
@@ -31,9 +31,9 @@ from .growth import (
     GrowthParams,
     ObservationSeries,
     PredictionGrid,
+    _best_order,
     decreasing_steps,
     estimate_eta,
-    fit_order,
     mae,
     predict_table,
     series_terms,
@@ -44,18 +44,42 @@ SERIES_DEPTH_ENV = "FRACGROW_SERIES_DEPTH"
 DEFAULT_ORDERS = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
+def float_list(text: str) -> List[float]:
+    """Comma-separated floats, e.g. ``0.5, 0.7, 1.0``."""
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+def _setting(default, parse, commands=(), flag=None, env=None, help=None):
+    """A run setting: ``parse`` reads its config-file, environment and flag
+    text; ``commands`` are the subcommands that take its flag and variable."""
+    meta = {"parse": parse, "commands": commands, "flag": flag, "env": env, "help": help}
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class RunConfig:
-    """Effective run configuration after file, env, and flag resolution."""
+    """Effective run configuration after file, env, and flag resolution.
 
-    r: float = abalone.INITIAL_GROWTH_RATE
-    orders: Sequence[float] = DEFAULT_ORDERS
-    convention: Convention = Convention.CUMULATIVE
-    eta_mode: EtaMode = EtaMode.ABSOLUTE
-    series_depth: int = 25
-    month8_override: Optional[float] = None
-    m0: float = abalone.INITIAL_LENGTH
-    etas: Optional[Sequence[float]] = None
+    Each field is a config-file key; its metadata declares the flag and
+    environment variable that set it and the subcommands that take them.
+    """
+
+    r: float = _setting(abalone.INITIAL_GROWTH_RATE, float, ("predict", "fit", "series"),
+                        help="initial growth rate (default 0.04305)")
+    orders: Sequence[float] = _setting(DEFAULT_ORDERS, float_list, ("predict", "fit"),
+                                       help="comma-separated fractional orders")
+    convention: Convention = _setting(Convention.CUMULATIVE, Convention, ("predict", "fit"),
+                                      help="one of " + ", ".join(c.value for c in Convention))
+    eta_mode: EtaMode = _setting(EtaMode.ABSOLUTE, EtaMode, ("predict", "fit"),
+                                 help="one of " + ", ".join(m.value for m in EtaMode))
+    series_depth: int = _setting(25, int, ("series",), flag="--depth", env=SERIES_DEPTH_ENV,
+                                 help="number of iterates (default 25)")
+    month8_override: Optional[float] = _setting(
+        None, float, ("predict", "fit"), flag="--correct-month8",
+        help="replace the month-8 growth rate (e.g. 0.3800)")
+    m0: float = _setting(abalone.INITIAL_LENGTH, float, ("predict", "series"),
+                         help="initial length (default 0.5322)")
+    etas: Optional[Sequence[float]] = _setting(None, float_list)
 
     def __post_init__(self):
         for b in self.orders:
@@ -65,21 +89,28 @@ class RunConfig:
             raise ValidationError("series_depth must be >= 1")
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "r": self.r,
-            "orders": list(self.orders),
-            "convention": self.convention.value,
-            "eta_mode": self.eta_mode.value,
-            "series_depth": self.series_depth,
-            "month8_override": self.month8_override,
-            "m0": self.m0,
-            "etas": list(self.etas) if self.etas is not None else None,
-        }
+        return {f.name: _echo(getattr(self, f.name)) for f in fields(self)}
 
 
-def load_config(path: str) -> Dict[str, str]:
-    """Parse a ``key = value`` config file; '#' starts a comment."""
-    raw: Dict[str, str] = {}
+def _echo(value: object) -> object:
+    """JSON form of a setting: enums by value, sequences as lists."""
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    return getattr(value, "value", value)
+
+
+def _parse_setting(f, text: str, source: str) -> object:
+    try:
+        return f.metadata["parse"](text)
+    except ValueError as exc:
+        raise ParseError(f"{source}: bad value for {f.name}: {exc}")
+
+
+def load_config(path: str) -> Dict[str, object]:
+    """Parse a ``key = value`` config file into RunConfig field values;
+    '#' starts a comment."""
+    settings = {f.name: f for f in fields(RunConfig)}
+    values: Dict[str, object] = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.split("#", 1)[0].strip()
@@ -87,76 +118,32 @@ def load_config(path: str) -> Dict[str, str]:
                 continue
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
-    return raw
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key not in settings:
+                raise ParseError(f"{path}:{lineno}: unknown config key {key!r}")
+            values[key] = _parse_setting(settings[key], value, f"{path}:{lineno}")
+    return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults < config file < environment < flags.  The environment and
+    flags count only for settings the subcommand takes."""
     cfg = RunConfig()
-    if getattr(args, "config", None):
-        raw = load_config(args.config)
-        cfg = _apply_raw_config(cfg, raw, args.config)
-    depth_env = os.environ.get(SERIES_DEPTH_ENV)
-    if depth_env is not None:
-        try:
-            cfg = replace(cfg, series_depth=int(depth_env))
-        except ValueError:
-            raise ParseError(f"{SERIES_DEPTH_ENV} must be an integer, got {depth_env!r}")
-    if getattr(args, "r", None) is not None:
-        cfg = replace(cfg, r=args.r)
-    if getattr(args, "orders", None):
-        cfg = replace(cfg, orders=args.orders)
-    if getattr(args, "convention", None):
-        cfg = replace(cfg, convention=Convention(args.convention))
-    if getattr(args, "eta_mode", None):
-        cfg = replace(cfg, eta_mode=EtaMode(args.eta_mode))
-    if getattr(args, "correct_month8", None) is not None:
-        cfg = replace(cfg, month8_override=args.correct_month8)
-    if getattr(args, "m0", None) is not None:
-        cfg = replace(cfg, m0=args.m0)
-    if getattr(args, "depth", None) is not None:
-        cfg = replace(cfg, series_depth=args.depth)
-    return cfg
-
-
-def _apply_raw_config(cfg: RunConfig, raw: Dict[str, str], path: str) -> RunConfig:
-    updates: Dict[str, object] = {}
-    try:
-        if "r" in raw:
-            updates["r"] = float(raw["r"])
-        if "orders" in raw:
-            updates["orders"] = [float(v) for v in raw["orders"].split(",") if v.strip()]
-        if "convention" in raw:
-            updates["convention"] = Convention(raw["convention"])
-        if "eta_mode" in raw:
-            updates["eta_mode"] = EtaMode(raw["eta_mode"])
-        if "series_depth" in raw:
-            updates["series_depth"] = int(raw["series_depth"])
-        if "month8_override" in raw:
-            updates["month8_override"] = float(raw["month8_override"])
-        if "m0" in raw:
-            updates["m0"] = float(raw["m0"])
-        if "etas" in raw:
-            updates["etas"] = [float(v) for v in raw["etas"].split(",") if v.strip()]
-    except ValueError as exc:
-        raise ParseError(f"{path}: bad config value: {exc}")
-    unknown = set(raw) - {
-        "r", "orders", "convention", "eta_mode", "series_depth",
-        "month8_override", "m0", "etas",
+    if args.config:
+        cfg = replace(cfg, **load_config(args.config))
+    taken = [f for f in fields(RunConfig) if args.command in f.metadata["commands"]]
+    env = {
+        f.name: _parse_setting(f, os.environ[f.metadata["env"]], f.metadata["env"])
+        for f in taken
+        if f.metadata["env"] is not None and f.metadata["env"] in os.environ
     }
-    if unknown:
-        raise ParseError(f"{path}: unknown config keys: {', '.join(sorted(unknown))}")
-    return replace(cfg, **updates)
+    flags = {f.name: getattr(args, f.name) for f in taken if getattr(args, f.name) is not None}
+    return replace(replace(cfg, **env), **flags)
 
 
 def load_observations(path: str) -> ObservationSeries:
     """Read an observation CSV with mandatory ``month,length`` header."""
-    try:
-        fh = open(path)
-    except OSError as exc:
-        raise ParseError(f"cannot open {path}: {exc}")
-    with fh:
+    with open(path) as fh:
         header = fh.readline().strip()
         if header.replace(" ", "") != "month,length":
             raise ParseError(f"{path}:1: expected header 'month,length', got {header!r}")
@@ -274,48 +261,52 @@ def write_plot_csv(bundle: ResultBundle, stream: TextIO) -> None:
             stream.write(line + "\n")
 
 
-def _orders_of(cfg: RunConfig) -> List[FracOrder]:
-    return [FracOrder(b) for b in cfg.orders]
-
-
 def _schedule_for_predict(cfg: RunConfig, args: argparse.Namespace):
-    """(schedule, M, observed lengths or None) from flags/config."""
-    if getattr(args, "obs", None):
+    """(schedule, M, observed lengths or None) from flags/config, with the
+    month-8 override applied whatever the source of the rates."""
+    m0, observed = cfg.m0, None
+    if args.obs:
         obs = load_observations(args.obs)
         schedule = estimate_eta(obs, cfg.eta_mode)
-        if cfg.month8_override is not None:
-            schedule = schedule.replaced(abalone.MONTH8_ROW - 1, cfg.month8_override)
-        return schedule, obs.lengths[0], obs.lengths
-    if getattr(args, "reference", False):
-        return abalone.reference_schedule(cfg.month8_override), abalone.INITIAL_LENGTH, None
-    if cfg.etas is not None:
+        observed = obs.lengths
+        m0 = observed[0]
+    elif getattr(args, "reference", False):
+        schedule = abalone.reference_schedule()
+    elif cfg.etas is not None:
         schedule = EtaSchedule(tuple(enumerate(cfg.etas, start=1)))
-        if cfg.month8_override is not None:
-            schedule = schedule.replaced(abalone.MONTH8_ROW - 1, cfg.month8_override)
-        return schedule, cfg.m0, None
-    raise DomainError(
-        "no growth rates: pass --obs, --reference, or an 'etas' config entry"
-    )
+    else:
+        raise DomainError(
+            "no growth rates: pass --obs, --reference, or an 'etas' config entry"
+        )
+    if cfg.month8_override is not None:
+        schedule = schedule.replaced(abalone.MONTH8_ROW - 1, cfg.month8_override)
+    return schedule, m0, observed
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def _predict(args: argparse.Namespace):
+    """(config, M, grid, observed lengths, MAE per order): the pipeline shared
+    by ``predict`` and ``fit``; the last two are None without observations."""
     cfg = build_config(args)
     schedule, m0, observed = _schedule_for_predict(cfg, args)
-    orders = _orders_of(cfg)
+    orders = [FracOrder(b) for b in cfg.orders]
     grid = predict_table(m0, cfg.r, schedule, orders, cfg.convention)
-
     scores = None
     if observed is not None:
         scores = {o: mae(grid.column(j), observed) for j, o in enumerate(orders)}
+    return cfg, m0, grid, observed, scores
+
+
+def cmd_predict(args: argparse.Namespace) -> int:
+    cfg, m0, grid, observed, scores = _predict(args)
     bundle = make_bundle(cfg, grid, scores, observed)
 
     print(f"Prediction grid ({cfg.convention.value}), M={m0:g}, r={cfg.r:g}")
-    print("month  " + "  ".join(f"h_{o.beta:g}" for o in orders))
+    print("month  " + "  ".join(f"h_{o.beta:g}" for o in grid.orders))
     for month, row in zip(grid.months, grid.values):
         print(f"{month:>5}  " + "  ".join(f"{v:.4f}" for v in row))
     if scores:
         print("MAE per order:")
-        for o in orders:
+        for o in grid.orders:
             print(f"  beta={o.beta:g}: {scores[o]:.15g}")
 
     drops = decreasing_steps(grid)
@@ -339,31 +330,23 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg = build_config(args)
-    obs = load_observations(args.obs)
-    orders = _orders_of(cfg)
-    best, scores = fit_order(obs, orders, cfg.r, cfg.convention, cfg.eta_mode)
+    cfg, _, grid, observed, scores = _predict(args)
+    best = _best_order(scores, len(observed))
     print("order  mae")
     for o in sorted(scores, key=lambda o: o.beta):
         print(f"{o.beta:<5g}  {scores[o]:.15g}")
     print(f"best order: beta={best.beta:g}")
-    schedule = estimate_eta(obs, cfg.eta_mode)
-    grid = predict_table(obs.lengths[0], cfg.r, schedule, orders, cfg.convention)
-    bundle = make_bundle(cfg, grid, scores, obs.lengths)
-    _emit_outputs(bundle, args)
+    _emit_outputs(make_bundle(cfg, grid, scores, observed), args)
     return 0
 
 
 def _emit_outputs(bundle: ResultBundle, args: argparse.Namespace) -> None:
-    if getattr(args, "json", None):
-        with open(args.json, "w") as fh:
-            write_bundle_json(bundle, fh)
-    if getattr(args, "csv", None):
-        with open(args.csv, "w") as fh:
-            write_grid_csv(bundle, fh)
-    if getattr(args, "plot", None):
-        with open(args.plot, "w") as fh:
-            write_plot_csv(bundle, fh)
+    writers = (("json", write_bundle_json), ("csv", write_grid_csv), ("plot", write_plot_csv))
+    for name, write in writers:
+        path = getattr(args, name, None)
+        if path:
+            with open(path, "w") as fh:
+                write(bundle, fh)
 
 
 def cmd_special(args: argparse.Namespace) -> int:
@@ -434,16 +417,17 @@ def cmd_series(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--json", help="write the result bundle as JSON")
-    parser.add_argument("--csv", help="write the prediction grid as CSV")
-    parser.add_argument(
-        "--correct-month8",
-        type=float,
-        dest="correct_month8",
-        help="replace the month-8 growth rate (e.g. 0.3800)",
-    )
+def _settings_parser(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """Subcommand parser with ``--config`` and the RunConfig flags it takes."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(func=func)
+    p.add_argument("--config", help="path to a key = value config file")
+    for f in fields(RunConfig):
+        meta = f.metadata
+        if name in meta["commands"]:
+            flag = meta["flag"] or "--" + f.name.replace("_", "-")
+            p.add_argument(flag, dest=f.name, type=meta["parse"], help=meta["help"])
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,30 +437,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("predict", help="generate a prediction grid")
-    _add_common_flags(p)
+    p = _settings_parser(sub, "predict", cmd_predict, "generate a prediction grid")
     p.add_argument("--obs", help="observation CSV (month,length)")
     p.add_argument("--reference", action="store_true", help="use the built-in reference rate column")
-    p.add_argument("--m0", type=float, help="initial length (default 0.5322)")
-    p.add_argument("--r", type=float, help="initial growth rate (default 0.04305)")
-    p.add_argument("--orders", type=_order_list, help="comma-separated fractional orders")
-    p.add_argument("--convention", choices=[c.value for c in Convention])
-    p.add_argument("--eta-mode", dest="eta_mode", choices=[m.value for m in EtaMode])
+    p.add_argument("--json", help="write the result bundle as JSON")
+    p.add_argument("--csv", help="write the prediction grid as CSV")
     p.add_argument("--plot", help="write long-format plot CSV")
     p.add_argument("--deviation-report", action="store_true", help="compare all conventions to the published table")
-    p.set_defaults(func=cmd_predict)
 
-    p = sub.add_parser("fit", help="select the fractional order by MAE")
-    _add_common_flags(p)
+    p = _settings_parser(sub, "fit", cmd_fit, "select the fractional order by MAE")
     p.add_argument("--obs", required=True, help="observation CSV (month,length)")
-    p.add_argument("--r", type=float)
-    p.add_argument("--orders", type=_order_list)
-    p.add_argument("--convention", choices=[c.value for c in Convention])
-    p.add_argument("--eta-mode", dest="eta_mode", choices=[m.value for m in EtaMode])
-    p.set_defaults(func=cmd_fit)
+    p.add_argument("--json", help="write the result bundle as JSON")
+    p.add_argument("--csv", help="write the prediction grid as CSV")
 
     p = sub.add_parser("special", help="evaluate special functions")
-    _add_common_flags(p)
     p.add_argument("function", choices=["gamma", "ml", "ml2"])
     p.add_argument("--x", type=float, help="gamma argument")
     p.add_argument("--alpha", type=float, help="Mittag-Leffler alpha")
@@ -485,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_special)
 
     p = sub.add_parser("caputo", help="Caputo derivative of scale * e^{r s}")
-    _add_common_flags(p)
     p.add_argument("--rule", choices=["paper", "exact", "numeric"], default="paper")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
@@ -496,23 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compare", action="store_true", help="print all applicable rules side by side")
     p.set_defaults(func=cmd_caputo)
 
-    p = sub.add_parser("series", help="dump decomposition series terms")
-    _add_common_flags(p)
-    p.add_argument("--m0", type=float, help="initial length")
-    p.add_argument("--r", type=float)
+    p = _settings_parser(sub, "series", cmd_series, "dump decomposition series terms")
     p.add_argument("--eta", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--depth", type=int, help="number of iterates (default 25)")
-    p.set_defaults(func=cmd_series)
 
     return parser
-
-
-def _order_list(text: str) -> List[float]:
-    try:
-        return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad order list {text!r}")
 
 
 def _validate_special(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -530,7 +491,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     _validate_special(args, parser)
     try:
         return args.func(args)
-    except FracgrowError as exc:
+    except (FracgrowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

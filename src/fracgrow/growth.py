@@ -54,8 +54,10 @@ class ObservationSeries:
                 raise ValidationError(f"months must be positive integers, got {month}")
             if prev is not None and month <= prev:
                 raise ValidationError(f"months must be strictly increasing at month {month}")
-            if not length > 0:
-                raise ValidationError(f"lengths must be positive, got {length} at month {month}")
+            if not (length > 0 and math.isfinite(length)):
+                raise ValidationError(
+                    f"lengths must be positive and finite, got {length} at month {month}"
+                )
             prev = month
 
     @property
@@ -76,6 +78,9 @@ class EtaSchedule:
     def __post_init__(self):
         if not self.rates:
             raise ValidationError("eta schedule is empty")
+        for interval, eta in self.rates:
+            if not math.isfinite(eta):
+                raise ValidationError(f"rate of interval {interval} must be finite, got {eta}")
 
     @property
     def values(self) -> List[float]:
@@ -117,11 +122,21 @@ class PredictionGrid:
 
 
 def closed_form(p: GrowthParams, s: float, t: float) -> float:
-    """Closed-form solution M * e^{r s} * e^{(eta - r^beta) t}."""
+    """Closed-form solution M * e^{r s + (eta - r^beta) t}.
+
+    The exponents are summed before exponentiating, so a large e^{r s} and a
+    small e^{(eta - r^beta) t} cancel instead of overflowing or underflowing.
+    """
     if s < 0 or t < 0:
         raise DomainError("s and t must be non-negative")
     x = p.eta - p.r ** p.order.beta
-    return p.M * math.exp(p.r * s) * math.exp(x * t)
+    try:
+        value = p.M * math.exp(p.r * s + x * t)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"closed form overflows a float at s={s}, t={t}")
+    return value
 
 
 def series_term(p: GrowthParams, n: int) -> TermSum:
@@ -247,16 +262,17 @@ def fit_order(
     order, and each column is scored against the observed lengths.  Ties
     break toward the smaller beta.
     """
-    if len(obs.points) < 3:
-        raise ValidationError("need at least 3 observations to fit the order")
     if not orders:
         raise ValidationError("need at least one candidate order")
-    etas = estimate_eta(obs, eta_mode)
-    M = obs.lengths[0]
-    grid = predict_table(M, r, etas, list(orders), convention)
     observed = obs.lengths
-    scores: Dict[FracOrder, float] = {}
-    for j, order in enumerate(orders):
-        scores[order] = mae(grid.column(j), observed)
-    best = min(sorted(scores, key=lambda o: o.beta), key=lambda o: scores[o])
-    return best, scores
+    grid = predict_table(observed[0], r, estimate_eta(obs, eta_mode), list(orders), convention)
+    scores = {order: mae(grid.column(j), observed) for j, order in enumerate(orders)}
+    return _best_order(scores, len(obs.points)), scores
+
+
+def _best_order(scores: Dict[FracOrder, float], n_observations: int) -> FracOrder:
+    """Order with the lowest MAE over ``n_observations`` points; ties break
+    toward the smaller beta."""
+    if n_observations < 3:
+        raise ValidationError("need at least 3 observations to fit the order")
+    return min(sorted(scores, key=lambda o: o.beta), key=lambda o: scores[o])

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from fracgrow import cli, growth
 from fracgrow.cli import (
     load_bundle,
     load_observations,
@@ -98,6 +99,37 @@ class TestSeriesCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 4  # header + w_0..w_2
 
+    def test_depth_env_read_only_by_series(self, capsys, monkeypatch):
+        monkeypatch.setenv("FRACGROW_SERIES_DEPTH", "deep")
+        code, _, _ = run(capsys, "predict", "--reference")
+        assert code == 0
+        code, _, err = run(capsys, "series", "--eta", "0.1", "--beta", "1.0")
+        assert code == 1
+        assert "FRACGROW_SERIES_DEPTH" in err
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["special", "gamma", "--x", "0.5", "--json", "out.json"],
+            ["special", "gamma", "--x", "0.5", "--config", "run.cfg"],
+            ["caputo", "--beta", "0.5", "--r", "0.1", "--s", "0", "--csv", "out.csv"],
+            ["caputo", "--beta", "0.5", "--r", "0.1", "--s", "0", "--correct-month8", "0.38"],
+            ["series", "--eta", "0.1", "--beta", "1.0", "--json", "out.json"],
+            ["series", "--eta", "0.1", "--beta", "1.0", "--correct-month8", "0.38"],
+        ],
+    )
+    def test_flag_a_subcommand_does_not_use_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    def test_bad_enum_flag_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--reference", "--convention", "sideways"])
+        assert exc.value.code == 2
+
 
 class TestLoadObservations:
     def test_valid_file(self, tmp_path):
@@ -181,12 +213,81 @@ class TestPredictCommand:
         assert len(rows) == 3
         assert rows[0].split()[1] == "1.0000"
 
+    def test_reference_honours_m0(self, capsys):
+        code, out, _ = run(capsys, "predict", "--reference", "--m0", "9")
+        assert code == 0
+        assert "M=9," in out.splitlines()[0]
+        rows = [l for l in out.splitlines() if l.strip() and l.strip()[0].isdigit()]
+        assert rows[0].split()[1:] == ["9.0000"] * 6
+
+    def test_config_and_flag_precedence(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("etas = 0.2\nr = 0.05\norders = 0.5\nconvention = cumulative_no_age\n")
+        json_path = tmp_path / "out.json"
+        code, _, _ = run(
+            capsys, "predict", "--config", str(cfg), "--r", "0.03", "--json", str(json_path)
+        )
+        assert code == 0
+        config = json.loads(json_path.read_text())["config"]
+        assert config == {
+            "r": 0.03,
+            "orders": [0.5],
+            "convention": "cumulative_no_age",
+            "eta_mode": "absolute",
+            "series_depth": 25,
+            "month8_override": None,
+            "m0": 0.5322,
+            "etas": [0.2],
+        }
+
+    @pytest.mark.parametrize("text", ["etas = 0.2, nan\n", "etas = 0.2, inf\n"])
+    def test_nonfinite_config_etas_is_error(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "predict", "--config", str(cfg))
+        assert code == 1
+        assert err.startswith("error:")
+        assert "nan" not in out
+
+    def test_nonfinite_month8_override_is_error(self, capsys):
+        code, _, err = run(capsys, "predict", "--reference", "--correct-month8", "nan")
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_infinite_length_is_error(self, capsys, tmp_path):
+        path = write_obs(tmp_path / "obs.csv", [0.5, 1.0, "inf"])
+        code, out, err = run(capsys, "predict", "--obs", path)
+        assert code == 1
+        assert err.startswith("error:")
+        assert "all monthly steps increase" not in out
+
     def test_unknown_config_key(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus = 1\n")
         code, _, err = run(capsys, "predict", "--config", str(cfg))
         assert code == 1
         assert "bogus" in err
+
+
+class TestFileErrors:
+    def test_missing_config_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "predict", "--reference", "--config", str(tmp_path / "none.cfg"))
+        assert code == 1
+        assert err.startswith("error:") and "none.cfg" in err
+        assert len(err.strip().splitlines()) == 1
+
+    def test_missing_observation_file(self, capsys, tmp_path):
+        code, _, err = run(capsys, "fit", "--obs", str(tmp_path / "none.csv"))
+        assert code == 1
+        assert err.startswith("error:") and "none.csv" in err
+
+    @pytest.mark.parametrize("flag", ["--json", "--csv", "--plot"])
+    def test_unwritable_output(self, capsys, tmp_path, flag):
+        target = str(tmp_path / "missing-dir" / "out")
+        code, _, err = run(capsys, "predict", "--reference", flag, target)
+        assert code == 1
+        assert err.startswith("error:") and "missing-dir" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestOutputsAndRoundTrip:
@@ -254,3 +355,27 @@ class TestFitCommand:
         assert code == 0
         data = json.loads(json_path.read_text())
         assert data["scores"]["1"] <= 1e-9
+
+    def test_grid_computed_once(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        real = growth.predict_table
+        counted = lambda *a: calls.append(a) or real(*a)  # noqa: E731
+        monkeypatch.setattr(growth, "predict_table", counted)
+        monkeypatch.setattr(cli, "predict_table", counted)
+        path = write_obs(tmp_path / "obs.csv", self_consistent_series(0.5322, 0.04305, 0.7, 10))
+        code, out, _ = run(capsys, "fit", "--obs", path, "--orders", "0.5,0.7,1.0")
+        assert code == 0
+        assert "best order: beta=0.7" in out
+        assert len(calls) == 1
+
+    def test_correct_month8_applies(self, capsys, tmp_path):
+        path = write_obs(tmp_path / "obs.csv", self_consistent_series(0.5322, 0.04305, 0.7, 10))
+        plain, fixed = tmp_path / "plain.json", tmp_path / "fixed.json"
+        run(capsys, "fit", "--obs", path, "--json", str(plain))
+        code, _, _ = run(capsys, "fit", "--obs", path, "--correct-month8", "0.38", "--json", str(fixed))
+        assert code == 0
+        plain, fixed = json.loads(plain.read_text()), json.loads(fixed.read_text())
+        assert fixed["config"]["month8_override"] == 0.38
+        assert fixed["grid"]["values"][6] == plain["grid"]["values"][6]
+        assert fixed["grid"]["values"][7] != plain["grid"]["values"][7]
+        assert fixed["scores"] != plain["scores"]

@@ -52,6 +52,20 @@ class TestClosedForm:
                 0.5322 * math.exp(0.04305 * 2.0), rel=1e-13
             )
 
+    def test_large_exponents_cancel(self):
+        # e^{r s} alone overflows at s = 2500, e^{x t} alone underflows at
+        # t = 2000; the products themselves are representable
+        p = GrowthParams(1.0, 0.5, 0.1, FracOrder(1.0))
+        assert closed_form(p, 2500.0, 2500.0) == pytest.approx(math.exp(250.0), rel=1e-12)
+        p = GrowthParams(1.0, 0.3, -0.3305, FracOrder(1.0))
+        assert closed_form(p, 2000.0, 2000.0) == pytest.approx(math.exp(-661.0), rel=1e-12)
+
+    def test_overflow_is_domain_error(self):
+        with pytest.raises(DomainError):
+            closed_form(GrowthParams(1.0, 0.5, 0.9, FracOrder(1.0)), 2500.0, 2500.0)
+        with pytest.raises(DomainError):
+            closed_form(GrowthParams(1e300, 0.5, 0.9, FracOrder(1.0)), 0.0, 100.0)
+
     def test_param_validation(self):
         with pytest.raises(ValidationError):
             GrowthParams(-1.0, 0.04305, 0.5, FracOrder(0.5))
@@ -128,6 +142,11 @@ class TestObservationSeries:
     def test_nonpositive_length_rejected(self):
         with pytest.raises(ValidationError):
             ObservationSeries(((1, 0.0),))
+
+    @pytest.mark.parametrize("length", [math.inf, math.nan])
+    def test_nonfinite_length_rejected(self, length):
+        with pytest.raises(ValidationError):
+            ObservationSeries(((1, 1.0), (2, length)))
 
 
 class TestPredictTable:
@@ -259,3 +278,10 @@ class TestEtaSchedule:
     def test_replace_missing_interval(self):
         with pytest.raises(ValidationError):
             EtaSchedule(((1, 0.5),)).replaced(3, 0.9)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rate_rejected(self, eta):
+        with pytest.raises(ValidationError):
+            EtaSchedule(((1, 0.5), (2, eta)))
+        with pytest.raises(ValidationError):
+            EtaSchedule(((1, 0.5), (2, 0.6))).replaced(2, eta)
