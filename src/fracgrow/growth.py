@@ -33,10 +33,12 @@ class GrowthParams:
     order: FracOrder
 
     def __post_init__(self):
-        if not self.M > 0:
-            raise ValidationError(f"initial size M must be positive, got {self.M}")
+        if not (self.M > 0 and math.isfinite(self.M)):
+            raise ValidationError(f"initial size M must be positive and finite, got {self.M}")
         if not 0.0 < self.r < 1.0:
             raise ValidationError(f"initial growth rate r must lie in (0, 1), got {self.r}")
+        if not math.isfinite(self.eta):
+            raise ValidationError(f"growth rate eta must be finite, got {self.eta}")
 
 
 @dataclass(frozen=True)
@@ -203,8 +205,8 @@ def predict_table(
     month's eta; the cumulative conventions advance the previous row by one
     monthly factor (with or without the aging term r * ds).
     """
-    if not M > 0:
-        raise ValidationError(f"M must be positive, got {M}")
+    if not (M > 0 and math.isfinite(M)):
+        raise ValidationError(f"M must be positive and finite, got {M}")
     if not 0.0 < r < 1.0:
         raise ValidationError(f"r must lie in (0, 1), got {r}")
     if not orders:

@@ -8,6 +8,10 @@ with integer k >= 0 and n >= 0.  The family is closed under the spatial
 operator (via the exponential rule), the inverse time operator (exact under
 the factorial normalization), and products, which is all the decomposition
 recursion needs.
+
+The Adomian polynomials come from partial powers of the series extended one
+order per step: J.-S. Duan, "Convenient analytic recurrence algorithms for the
+Adomian polynomials", Appl. Math. Comput. 217 (2011) 6337-6348.
 """
 
 from __future__ import annotations
@@ -40,30 +44,25 @@ class TermSum:
     """Canonical finite sum of :class:`SeriesTerm` values.
 
     Canonical means: at most one term per (exp_mult, t_power) key and no
-    zero coefficients.  Instances are immutable; all operations return
-    fresh sums.
+    zero coefficients.  Build one from ``terms`` or from a ``coeffs`` map
+    keyed by (exp_mult, t_power); a coefficient that is NaN or exceeds
+    ``COEFF_LIMIT`` in magnitude raises :class:`TermOverflowError`.
+    Instances are immutable; all operations return fresh sums.
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, terms: Iterable[SeriesTerm] = ()):
-        coeffs: Dict[Tuple[int, int], float] = {}
-        for t in terms:
-            key = (t.exp_mult, t.t_power)
-            coeffs[key] = coeffs.get(key, 0.0) + t.coeff
+    def __init__(self, terms: Iterable[SeriesTerm] = (), *,
+                 coeffs: Optional[Mapping[Tuple[int, int], float]] = None):
+        if coeffs is None:
+            coeffs = {}
+            for t in terms:
+                key = (t.exp_mult, t.t_power)
+                coeffs[key] = coeffs.get(key, 0.0) + t.coeff
         self._coeffs = {k: c for k, c in coeffs.items() if c != 0.0}
         for c in self._coeffs.values():
-            if abs(c) > COEFF_LIMIT:
-                raise TermOverflowError(f"coefficient magnitude {c} exceeds {COEFF_LIMIT}")
-
-    @classmethod
-    def _from_coeffs(cls, coeffs: Mapping[Tuple[int, int], float]) -> "TermSum":
-        out = cls.__new__(cls)
-        out._coeffs = {k: c for k, c in coeffs.items() if c != 0.0}
-        for c in out._coeffs.values():
-            if abs(c) > COEFF_LIMIT:
-                raise TermOverflowError(f"coefficient magnitude {c} exceeds {COEFF_LIMIT}")
-        return out
+            if not abs(c) <= COEFF_LIMIT:
+                raise TermOverflowError(f"coefficient {c} is not finite or exceeds {COEFF_LIMIT}")
 
     @classmethod
     def zero(cls) -> "TermSum":
@@ -75,9 +74,7 @@ class TermSum:
 
     @property
     def terms(self) -> Tuple[SeriesTerm, ...]:
-        return tuple(
-            SeriesTerm(c, k, n) for (k, n), c in sorted(self._coeffs.items())
-        )
+        return tuple(SeriesTerm(c, k, n) for (k, n), c in sorted(self._coeffs.items()))
 
     def coefficient(self, exp_mult: int, t_power: int) -> float:
         return self._coeffs.get((exp_mult, t_power), 0.0)
@@ -86,9 +83,7 @@ class TermSum:
         return not self._coeffs
 
     def scaled(self, factor: float) -> "TermSum":
-        if factor == 0.0:
-            return TermSum.zero()
-        return TermSum._from_coeffs({k: c * factor for k, c in self._coeffs.items()})
+        return TermSum(coeffs={k: c * factor for k, c in self._coeffs.items()})
 
     def __add__(self, other: "TermSum") -> "TermSum":
         return term_add(self, other)
@@ -113,9 +108,7 @@ class TermSum:
     def __repr__(self) -> str:
         if not self._coeffs:
             return "TermSum(0)"
-        parts = [
-            f"{c:g}*e^({k}rs)*t^{n}/{n}!" for (k, n), c in sorted(self._coeffs.items())
-        ]
+        parts = [f"{c:g}*e^({k}rs)*t^{n}/{n}!" for (k, n), c in sorted(self._coeffs.items())]
         return "TermSum(" + " + ".join(parts) + ")"
 
 
@@ -140,7 +133,7 @@ def term_add(x: TermSum, y: TermSum) -> TermSum:
     coeffs = dict(x._coeffs)
     for k, c in y._coeffs.items():
         coeffs[k] = coeffs.get(k, 0.0) + c
-    return TermSum._from_coeffs(coeffs)
+    return TermSum(coeffs=coeffs)
 
 
 def term_multiply(x: TermSum, y: TermSum, n_cap: int = T_POWER_CAP) -> TermSum:
@@ -150,14 +143,15 @@ def term_multiply(x: TermSum, y: TermSum, n_cap: int = T_POWER_CAP) -> TermSum:
     the normalized t^(n1+n2)/(n1+n2)! form.
     """
     coeffs: Dict[Tuple[int, int], float] = {}
+    y_items = sorted(y._coeffs.items())
     for (k1, n1), c1 in sorted(x._coeffs.items()):
-        for (k2, n2), c2 in sorted(y._coeffs.items()):
+        for (k2, n2), c2 in y_items:
             n = n1 + n2
             if n > n_cap:
                 raise TermOverflowError(f"time power {n} exceeds cap {n_cap}")
             key = (k1 + k2, n)
             coeffs[key] = coeffs.get(key, 0.0) + c1 * c2 * math.comb(n, n1)
-    return TermSum._from_coeffs(coeffs)
+    return TermSum(coeffs=coeffs)
 
 
 def apply_Ls(x: TermSum, order: FracOrder, r: float) -> TermSum:
@@ -169,12 +163,8 @@ def apply_Ls(x: TermSum, order: FracOrder, r: float) -> TermSum:
     """
     if r <= 0:
         raise ValidationError(f"growth rate r must be positive, got {r}")
-    coeffs: Dict[Tuple[int, int], float] = {}
-    for (k, n), c in x._coeffs.items():
-        if k == 0:
-            continue
-        coeffs[(k, n)] = c * (k * r) ** order.beta
-    return TermSum._from_coeffs(coeffs)
+    coeffs = {(k, n): c * (k * r) ** order.beta for (k, n), c in x._coeffs.items() if k != 0}
+    return TermSum(coeffs=coeffs)
 
 
 def apply_Lt_inverse(x: TermSum, n_cap: int = T_POWER_CAP) -> TermSum:
@@ -184,42 +174,49 @@ def apply_Lt_inverse(x: TermSum, n_cap: int = T_POWER_CAP) -> TermSum:
         if n + 1 > n_cap:
             raise TermOverflowError(f"time power {n + 1} exceeds cap {n_cap}")
         coeffs[(k, n + 1)] = c
-    return TermSum._from_coeffs(coeffs)
+    return TermSum(coeffs=coeffs)
 
 
-def adomian_polynomials(
-    nl: PolynomialNonlinearity, w_terms: Sequence[TermSum], n: int
-) -> TermSum:
+def adomian_polynomials(nl: PolynomialNonlinearity, w_terms: Sequence[TermSum], n: int) -> TermSum:
     """n-th Adomian polynomial of the nonlinearity over the given iterates.
 
     For N(w) = w^j, A_n is the coefficient of lambda^n in (sum_i lambda^i
-    w_i)^j, i.e. the sum over compositions i_1 + ... + i_j = n of the term
-    products; linear combinations follow from the polynomial coefficients.
+    w_i)^j; linear combinations follow from the polynomial coefficients.
+    The partial powers are built by the recurrence :func:`adm_iterate`
+    extends one order per step, so both give bit-identical results.
     """
-    if len(w_terms) < n + 1:
-        raise ValidationError(
-            f"need at least {n + 1} iterates for A_{n}, got {len(w_terms)}"
-        )
-    seq = list(w_terms[: n + 1])
-    result = TermSum.zero()
-    for j, c in nl.coefficients:
-        if c == 0.0:
-            continue
-        power = seq
-        for _ in range(j - 1):
-            power = _convolve(power, seq, n)
-        result = term_add(result, power[n].scaled(c))
-    return result
-
-
-def _convolve(a: List[TermSum], b: List[TermSum], n: int) -> List[TermSum]:
-    out = []
+    if not 0 <= n < len(w_terms):
+        raise ValidationError(f"A_{n} needs n >= 0 and {n + 1} iterates, got {len(w_terms)}")
+    powers = _new_powers(nl, list(w_terms[: n + 1]))
     for m in range(n + 1):
+        a_m = _adomian_step(nl, powers, m)
+    return a_m
+
+
+def _new_powers(nl: PolynomialNonlinearity, ws: List[TermSum]) -> List[List[TermSum]]:
+    """[P_1, ..., P_J] for the top power J with a nonzero coefficient; P_1 is ``ws``."""
+    top = max((j for j, c in nl.coefficients if c != 0.0), default=1)
+    return [ws] + [[] for _ in range(top - 1)]
+
+
+def _adomian_step(nl: PolynomialNonlinearity, powers: List[List[TermSum]], n: int) -> TermSum:
+    """Extend each partial power to order n and return A_n = sum_j c_j P_j[n].
+
+    ``powers[j - 1]`` holds P_j = (sum_i lambda^i w_i)^j through order n - 1.
+    Order n follows Duan's recurrence, P_j[n] = sum_{i=0..n} P_{j-1}[i] w_{n-i},
+    with every product formed whole and added in the order i = 0..n.
+    """
+    ws = powers[0]
+    for j in range(1, len(powers)):
         acc = TermSum.zero()
-        for i in range(m + 1):
-            acc = term_add(acc, term_multiply(a[i], b[m - i]))
-        out.append(acc)
-    return out
+        for i in range(n + 1):
+            acc = term_add(acc, term_multiply(powers[j - 1][i], ws[n - i]))
+        powers[j].append(acc)
+    a_n = TermSum.zero()
+    for j, c in nl.coefficients:
+        if c != 0.0:
+            a_n = term_add(a_n, powers[j - 1][n].scaled(c))
+    return a_n
 
 
 def adm_iterate(
@@ -237,19 +234,22 @@ def adm_iterate(
 
         w_{n+1} = Lt^-1(source) - Lt^-1(Ls(w_n)) + eta * Lt^-1(w_n) - Lt^-1(A_n)
 
-    with the source and nonlinear contributions dropped when absent.
+    with the source and nonlinear contributions dropped when absent.  The
+    powers behind A_n grow by one order per step and live for this call:
+    N steps with top power J make (J - 1) N (N + 1) / 2 term products.
     """
     if n_iterations < 0:
         raise ValidationError("n_iterations must be non-negative")
     ws = [w0]
+    powers = _new_powers(nl, ws) if nl is not None else None
     for i in range(n_iterations):
         nxt = TermSum.zero()
         if source is not None and not source.is_zero():
             nxt = term_add(nxt, apply_Lt_inverse(source))
         nxt = term_add(nxt, apply_Lt_inverse(apply_Ls(ws[i], order, r)).scaled(-1.0))
         nxt = term_add(nxt, apply_Lt_inverse(ws[i]).scaled(eta))
-        if nl is not None:
-            a_n = adomian_polynomials(nl, ws, i)
+        if powers is not None:
+            a_n = _adomian_step(nl, powers, i)
             nxt = term_add(nxt, apply_Lt_inverse(a_n).scaled(-1.0))
         ws.append(nxt)
     return ws

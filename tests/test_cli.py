@@ -93,6 +93,14 @@ class TestSeriesCommand:
         first = lines[1].split()
         assert float(first[1]) == pytest.approx(0.5322)
 
+    @pytest.mark.parametrize("eta", ["nan", "inf"])
+    def test_nonfinite_eta_is_error(self, capsys, eta):
+        code, out, err = run(capsys, "series", "--eta", eta, "--beta", "0.5")
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "nan" not in out
+
     def test_depth_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("FRACGROW_SERIES_DEPTH", "2")
         code, out, _ = run(capsys, "series", "--eta", "0.1", "--beta", "1.0")
@@ -219,6 +227,14 @@ class TestPredictCommand:
         assert "M=9," in out.splitlines()[0]
         rows = [l for l in out.splitlines() if l.strip() and l.strip()[0].isdigit()]
         assert rows[0].split()[1:] == ["9.0000"] * 6
+
+    @pytest.mark.parametrize("m0", ["inf", "nan"])
+    def test_nonfinite_m0_is_error(self, capsys, m0):
+        code, out, err = run(capsys, "predict", "--reference", "--m0", m0)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "inf" not in out and "all monthly steps increase" not in out
 
     def test_config_and_flag_precedence(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -72,6 +72,13 @@ class TestClosedForm:
         with pytest.raises(ValidationError):
             GrowthParams(1.0, 1.5, 0.5, FracOrder(0.5))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_constants_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            GrowthParams(bad, 0.04305, 0.5, FracOrder(0.5))
+        with pytest.raises(ValidationError):
+            GrowthParams(1.0, 0.04305, bad, FracOrder(0.5))
+
 
 class TestSeriesTerm:
     def test_w0(self):
@@ -180,6 +187,11 @@ class TestPredictTable:
     def test_requires_orders(self):
         with pytest.raises(ValidationError):
             predict_table(0.5322, 0.04305, self.etas, [])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_M_rejected(self, bad):
+        with pytest.raises(ValidationError):
+            predict_table(bad, 0.04305, self.etas, self.orders)
 
 
 class TestMonth8Diagnostic:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from fracgrow import terms
 from fracgrow.errors import TermOverflowError, ValidationError
 from fracgrow.fractional import FracOrder
 from fracgrow.terms import (
@@ -73,6 +74,15 @@ class TestTermAlgebra:
     def test_coefficient_guard(self):
         with pytest.raises(TermOverflowError):
             term_multiply(ts((1e200, 0, 0)), ts((1e200, 0, 0)))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), 2e300])
+    def test_nonfinite_coefficient_rejected(self, bad):
+        with pytest.raises(TermOverflowError):
+            TermSum.single(bad)
+        with pytest.raises(TermOverflowError):
+            TermSum(coeffs={(1, 0): bad})
+        with pytest.raises(TermOverflowError):
+            ts((1.0, 0, 0)).scaled(bad)
 
     def test_negative_indices_rejected(self):
         with pytest.raises(ValidationError):
@@ -160,9 +170,26 @@ class TestAdomianPolynomials:
             for n in range(1, 6):
                 assert adomian_polynomials(nl, ws, n).is_zero()
 
+    def test_cubic_composition_sum(self):
+        # A_n of w^3 is the sum over i1 + i2 + i3 = n of w_i1 w_i2 w_i3;
+        # integer coefficients keep every order of summation exact
+        rng = random.Random(13)
+        cube = PolynomialNonlinearity.from_dict({3: 1.0})
+        for _ in range(5):
+            ws = [random_termsum(rng, max_n=2) for _ in range(7)]
+            for n in range(7):
+                direct = TermSum.zero()
+                for i1 in range(n + 1):
+                    for i2 in range(n + 1 - i1):
+                        triple = term_multiply(ws[i1], ws[i2])
+                        direct = term_add(direct, term_multiply(triple, ws[n - i1 - i2]))
+                assert adomian_polynomials(cube, ws, n) == direct
+
     def test_short_list_rejected(self):
         with pytest.raises(ValidationError):
             adomian_polynomials(self.square, [ts((1.0, 0, 0))], 1)
+        with pytest.raises(ValidationError):
+            adomian_polynomials(self.square, [ts((1.0, 0, 0))], -1)
 
     def test_power_below_one_rejected(self):
         with pytest.raises(ValidationError):
@@ -218,6 +245,52 @@ class TestAdmIterate:
         # source integrates to 0.5 t; nonlinearity contributes -t * e^{2rs}
         assert ws[1].coefficient(0, 1) == pytest.approx(0.5)
         assert ws[1].coefficient(2, 1) == pytest.approx(-1.0)
+
+
+def rebuilt_iterates(w0, order, r, eta, nl, n_iterations):
+    """The recursion with every A_n rebuilt from scratch by the public
+    ``adomian_polynomials``, adding terms in adm_iterate's order."""
+    ws = [w0]
+    for n in range(n_iterations):
+        nxt = term_add(TermSum.zero(), apply_Lt_inverse(apply_Ls(ws[n], order, r)).scaled(-1.0))
+        nxt = term_add(nxt, apply_Lt_inverse(ws[n]).scaled(eta))
+        a_n = adomian_polynomials(nl, ws, n)
+        ws.append(term_add(nxt, apply_Lt_inverse(a_n).scaled(-1.0)))
+    return ws
+
+
+NONLINEARITIES = {
+    "cubic": {3: -0.2},
+    "quadcubic": {2: 0.1, 3: -0.15},
+}
+
+
+class TestIncrementalPowers:
+    @pytest.mark.parametrize("kind", sorted(NONLINEARITIES))
+    def test_equal_to_rebuild(self, kind):
+        rng = random.Random(kind)
+        nl = PolynomialNonlinearity.from_dict(NONLINEARITIES[kind])
+        M, r, eta, beta = (rng.uniform(0.5, 1.5), rng.uniform(0.05, 0.5),
+                           rng.uniform(0.1, 0.6), rng.uniform(0.3, 0.95))
+        w0 = ts((M, 1, 0))
+        ws = adm_iterate(w0, FracOrder(beta), r, eta, nl=nl, n_iterations=20)
+        assert ws == rebuilt_iterates(w0, FracOrder(beta), r, eta, nl, 20)
+
+    @pytest.mark.parametrize("kind", sorted(NONLINEARITIES))
+    @pytest.mark.parametrize("depth", [1, 6, 15])
+    def test_products_per_call(self, kind, depth, monkeypatch):
+        calls = []
+        plain = terms.term_multiply
+
+        def counting(x, y, *rest):
+            calls.append(1)
+            return plain(x, y, *rest)
+
+        monkeypatch.setattr(terms, "term_multiply", counting)
+        nl = PolynomialNonlinearity.from_dict(NONLINEARITIES[kind])
+        adm_iterate(ts((1.0, 1, 0)), FracOrder(0.5), 0.2, 0.3, nl=nl, n_iterations=depth)
+        # two powers (w^2, w^3), each extended by n + 1 products at step n
+        assert len(calls) == depth * (depth + 1)
 
 
 class TestEvaluate:
