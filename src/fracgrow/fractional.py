@@ -137,20 +137,18 @@ def caputo_numeric(
 
     one_mb = 1.0 - b
     two_mb = 2.0 - b
+    # tau = s - xi and tau^(1-b) once per node (interior nodes bound two
+    # panels); tau^(2-b) is tau * tau^(1-b).
+    tau = [s - x for x in xi]
+    pw = [t ** one_mb for t in tau]
     total = 0.0
-    for i in range(n):
-        a, c = xi[i], xi[i + 1]
+    for a, c, ta, tc, pa, pc, fa, fc in zip(xi, xi[1:], tau, tau[1:], pw, pw[1:], f_vals, f_vals[1:]):
         h = c - a
         if h == 0.0:
             continue
-        ta = s - a  # tau at the left edge (largest)
-        tc = s - c
         # moments of the kernel over the panel:
         #   m0 = int (s-xi)^-b dxi,  m1 = int (xi-a)(s-xi)^-b dxi
-        d1 = (ta ** one_mb - tc ** one_mb) / one_mb
-        d2 = (ta ** two_mb - tc ** two_mb) / two_mb
-        m0 = d1
-        m1 = ta * d1 - d2
-        fa, fc = f_vals[i], f_vals[i + 1]
+        m0 = (pa - pc) / one_mb
+        m1 = ta * m0 - (ta * pa - tc * pc) / two_mb
         total += fa * m0 + (fc - fa) / h * m1
     return total / gamma(one_mb)

@@ -131,9 +131,14 @@ class PolynomialNonlinearity:
 def term_add(x: TermSum, y: TermSum) -> TermSum:
     """Coefficient-wise merge on (exp_mult, t_power) keys."""
     coeffs = dict(x._coeffs)
+    _accumulate(coeffs, y)
+    return TermSum(coeffs=coeffs)
+
+
+def _accumulate(coeffs: Dict[Tuple[int, int], float], y: TermSum) -> None:
+    """Add the coefficients of ``y`` into the raw map ``coeffs`` in place."""
     for k, c in y._coeffs.items():
         coeffs[k] = coeffs.get(k, 0.0) + c
-    return TermSum(coeffs=coeffs)
 
 
 def term_multiply(x: TermSum, y: TermSum, n_cap: int = T_POWER_CAP) -> TermSum:
@@ -204,19 +209,20 @@ def _adomian_step(nl: PolynomialNonlinearity, powers: List[List[TermSum]], n: in
 
     ``powers[j - 1]`` holds P_j = (sum_i lambda^i w_i)^j through order n - 1.
     Order n follows Duan's recurrence, P_j[n] = sum_{i=0..n} P_{j-1}[i] w_{n-i},
-    with every product formed whole and added in the order i = 0..n.
+    with every product formed whole and added in the order i = 0..n into one
+    coefficient map, validated once as a :class:`TermSum`.
     """
     ws = powers[0]
     for j in range(1, len(powers)):
-        acc = TermSum.zero()
+        acc: Dict[Tuple[int, int], float] = {}
         for i in range(n + 1):
-            acc = term_add(acc, term_multiply(powers[j - 1][i], ws[n - i]))
-        powers[j].append(acc)
-    a_n = TermSum.zero()
+            _accumulate(acc, term_multiply(powers[j - 1][i], ws[n - i]))
+        powers[j].append(TermSum(coeffs=acc))
+    a_n: Dict[Tuple[int, int], float] = {}
     for j, c in nl.coefficients:
         if c != 0.0:
-            a_n = term_add(a_n, powers[j - 1][n].scaled(c))
-    return a_n
+            _accumulate(a_n, powers[j - 1][n].scaled(c))
+    return TermSum(coeffs=a_n)
 
 
 def adm_iterate(

@@ -55,6 +55,28 @@ class TestSpecialCommand:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma", "--x", "nan"],
+            ["gamma", "--x", "inf"],
+            ["gamma", "--x", "200"],
+            ["gamma", "--x", "-200.5"],
+            ["ml", "--alpha", "1", "--z", "nan"],
+            ["ml", "--alpha", "2", "--z=-inf"],
+            ["ml", "--alpha", "0.5", "--z", "inf"],
+            ["ml", "--alpha", "0.5", "--z", "-50"],
+            ["ml", "--alpha", "inf", "--z", "1"],
+            ["ml2", "--alpha", "1", "--mlbeta", "nan", "--z", "1"],
+        ],
+    )
+    def test_non_finite_or_overflow_is_one_line_error(self, capsys, argv):
+        code, out, err = run(capsys, "special", *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestCaputoCommand:
     def test_paper_rule(self, capsys):

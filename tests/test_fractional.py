@@ -29,6 +29,28 @@ def brute_rl_integral(order, gamma_exp, s, panels=200_000):
     return total * h / math.gamma(order)
 
 
+def per_panel_caputo(beta, f_prime, s, nodes, grading=2.0):
+    """The product-integration rule with both kernel powers taken per panel edge.
+
+    Same graded mesh and moments as ``caputo_numeric``, which takes one power
+    per node; the two must agree to rounding.
+    """
+    xi = [s * (1.0 - (1.0 - i / nodes) ** grading) for i in range(nodes + 1)]
+    f_vals = [f_prime(x) for x in xi]
+    one_mb, two_mb = 1.0 - beta, 2.0 - beta
+    total = 0.0
+    for i in range(nodes):
+        a, c = xi[i], xi[i + 1]
+        h = c - a
+        if h == 0.0:
+            continue
+        ta, tc = s - a, s - c
+        d1 = (ta ** one_mb - tc ** one_mb) / one_mb
+        d2 = (ta ** two_mb - tc ** two_mb) / two_mb
+        total += f_vals[i] * d1 + (f_vals[i + 1] - f_vals[i]) / h * (ta * d1 - d2)
+    return total / math.gamma(one_mb)
+
+
 class TestRLIntegralPower:
     def test_classical_integral(self):
         assert rl_integral_power(1.0, PowerFunction(1.0), 2.0) == pytest.approx(2.0, rel=1e-13)
@@ -152,6 +174,44 @@ class TestCaputoNumeric:
     def test_rejects_beta_one(self):
         with pytest.raises(DomainError):
             caputo_numeric(FracOrder(1.0), math.exp, 1.0)
+
+    @pytest.mark.parametrize("nodes", [256, 4096, 16384])
+    @pytest.mark.parametrize("beta,r,s", [(0.1, 0.3, 4.0), (0.5, 1.0, 1.0), (0.75, 2.5, 0.6), (0.95, 0.8, 3.0)])
+    def test_matches_per_panel_rule(self, nodes, beta, r, s):
+        def f_prime(xi):
+            return r * math.exp(r * xi)
+
+        value = caputo_numeric(FracOrder(beta), f_prime, s, QuadratureSpec(nodes=nodes))
+        assert value == pytest.approx(per_panel_caputo(beta, f_prime, s, nodes), rel=1e-12)
+
+    def test_matches_per_panel_rule_with_repeated_nodes(self):
+        # Steep grading rounds the last nodes onto s; their empty panels are skipped.
+        spec = QuadratureSpec(nodes=64, grading=12.0)
+        value = caputo_numeric(FracOrder(0.5), math.exp, 1.0, spec)
+        assert math.isfinite(value)
+        assert value == pytest.approx(per_panel_caputo(0.5, math.exp, 1.0, 64, 12.0), rel=1e-12)
+
+    @pytest.mark.parametrize("beta", [0.25, 0.5, 0.8])
+    def test_error_falls_as_nodes_squared(self, beta):
+        r, s = 1.2, 2.0
+        exact = caputo_exp_exact(FracOrder(beta), r, s)
+        errors = [
+            abs(caputo_numeric(FracOrder(beta), lambda xi: r * math.exp(r * xi), s, QuadratureSpec(nodes=n)) - exact)
+            for n in (256, 1024)
+        ]
+        slope = math.log(errors[1] / errors[0]) / math.log(4.0)
+        assert -2.2 < slope < -1.8
+
+    @pytest.mark.parametrize("nodes", [16, 257, 4096])
+    def test_one_f_prime_evaluation_per_node(self, nodes):
+        calls = []
+
+        def f_prime(xi):
+            calls.append(xi)
+            return math.cos(xi)
+
+        caputo_numeric(FracOrder(0.3), f_prime, 1.5, QuadratureSpec(nodes=nodes))
+        assert len(calls) == nodes + 1
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(ValidationError):

@@ -1,10 +1,32 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fracgrow.errors import NonConvergenceError, PoleError, ValidationError
-from fracgrow.special import MLParams, gamma, mittag_leffler, mittag_leffler2
+from fracgrow.errors import DomainError, NonConvergenceError, PoleError, ValidationError
+from fracgrow.special import DEFAULT_MAX_TERMS, DEFAULT_TOL, MLParams, gamma, mittag_leffler, mittag_leffler2
+
+
+def ml_fraction_series(alpha, beta, z, tol=DEFAULT_TOL, max_terms=DEFAULT_MAX_TERMS):
+    """The integer-parameter series summed in Fraction arithmetic, rounded once.
+
+    Same terms and stopping rule as the library's exact path, with every
+    partial sum reduced to lowest terms; the library must match it bit for bit.
+    """
+    zq = Fraction(z)
+    total = Fraction(1, math.factorial(beta - 1))
+    power = Fraction(1)
+    for m in range(1, max_terms + 1):
+        power *= zq
+        term = power / math.factorial(m * alpha + beta - 1)
+        total += term
+        if total != 0 and abs(term) <= Fraction(tol) * abs(total):
+            return float(total)
+    raise NonConvergenceError("oracle series did not converge")
+
+
+ml_arguments = st.floats(min_value=-50.0, max_value=50.0).filter(lambda z: z != 0.0)
 
 
 class TestGamma:
@@ -32,6 +54,16 @@ class TestGamma:
 
     def test_negative_non_integer(self):
         assert gamma(-0.5) == pytest.approx(math.gamma(-0.5), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [142.5, 160.25, 171.5, 171.62, -170.5])
+    def test_near_float_range_limits(self, x):
+        # base^(x-0.5) of the Lanczos formula alone overflows from x ~ 142.
+        assert gamma(x) == pytest.approx(math.gamma(x), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 171.7, 200.0, 1e300, -200.5])
+    def test_non_finite_or_out_of_range_is_domain_error(self, x):
+        with pytest.raises(DomainError):
+            gamma(x)
 
 
 class TestMittagLeffler:
@@ -64,6 +96,60 @@ class TestMittagLeffler:
         for z in (-50.0, -10.0, 10.0, 50.0):
             assert math.isfinite(mittag_leffler(MLParams(alpha=1.0), z))
 
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument_is_domain_error(self, alpha, z):
+        with pytest.raises(DomainError):
+            mittag_leffler(MLParams(alpha=alpha), z)
+
+    @pytest.mark.parametrize(
+        "alpha,beta,z",
+        [
+            (0.5, 1.0, -50.0),  # a single term overflows
+            (0.626166235303638, 1.7264630096187852, 157.59111527795505),  # the sum overflows
+        ],
+    )
+    def test_float_path_overflow_is_domain_error(self, alpha, beta, z):
+        with pytest.raises(DomainError):
+            mittag_leffler2(MLParams(alpha=alpha, beta=beta), z)
+
+    def test_exact_path_overflow_is_domain_error(self):
+        # e^720 exceeds the float range; the sum converges once the budget allows.
+        with pytest.raises(DomainError):
+            mittag_leffler(MLParams(alpha=1.0), 720.0, max_terms=3000)
+
+
+class TestExactPath:
+    """Integer alpha and beta: exact integer sums, rounded once."""
+
+    @given(
+        st.sampled_from([1, 2]),
+        st.sampled_from([1, 2, 3]),
+        ml_arguments,
+    )
+    def test_bit_identical_to_fraction_series(self, alpha, beta, z):
+        value = mittag_leffler2(MLParams(alpha=float(alpha), beta=float(beta)), z)
+        assert value.hex() == ml_fraction_series(alpha, beta, z).hex()
+
+    @pytest.mark.parametrize("z", [-49.9, -30.0, -0.1, 1 / 3, 7.3, 49.9, 2.0 ** -60])
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-6, 0.5])
+    def test_bit_identical_at_other_tolerances(self, z, tol):
+        value = mittag_leffler(MLParams(alpha=1.0), z, tol=tol)
+        assert value.hex() == ml_fraction_series(1, 1, z, tol=tol).hex()
+
+    @given(ml_arguments)
+    def test_alpha_one_is_exp(self, z):
+        assert mittag_leffler(MLParams(alpha=1.0), z) == pytest.approx(math.exp(z), rel=1e-14)
+
+    @given(st.floats(min_value=0.0, max_value=7.0))
+    def test_alpha_two_at_minus_square_is_cos(self, x):
+        assert mittag_leffler(MLParams(alpha=2.0), -x * x) == pytest.approx(math.cos(x), abs=1e-14)
+
+    @given(ml_arguments)
+    def test_beta_two_is_expm1_over_z(self, z):
+        value = mittag_leffler2(MLParams(alpha=1.0, beta=2.0), z)
+        assert value == pytest.approx(math.expm1(z) / z, rel=1e-14)
+
 
 class TestMittagLeffler2:
     def test_reduces_to_one_parameter(self):
@@ -93,3 +179,8 @@ class TestMittagLeffler2:
             MLParams(alpha=0.0)
         with pytest.raises(ValidationError):
             MLParams(alpha=1.0, beta=-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                MLParams(alpha=bad)
+            with pytest.raises(ValidationError):
+                MLParams(alpha=1.0, beta=bad)

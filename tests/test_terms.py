@@ -156,6 +156,27 @@ class TestAdomianPolynomials:
                     cauchy = term_add(cauchy, term_multiply(ws[i], ws[n - i]))
                 assert adomian_polynomials(self.square, ws, n) == cauchy
 
+    def test_sums_like_a_term_add_chain(self):
+        # float coefficients: the one-map accumulation must add the products
+        # in the same order as chained term_add, and drop exact cancellations
+        rng = random.Random(17)
+        cube = PolynomialNonlinearity.from_dict({3: 1.0})
+
+        def chained(xs, ys, n):
+            acc = TermSum.zero()
+            for i in range(n + 1):
+                acc = term_add(acc, term_multiply(xs[i], ys[n - i]))
+            return acc
+
+        for _ in range(20):
+            ws = [ts(*((rng.uniform(-2, 2), rng.randrange(3), rng.randrange(3)) for _ in range(3)))
+                  for _ in range(6)]
+            ws[2], ws[3] = ws[0], ws[1].scaled(-1.0)  # P_2[3] cancels to zero
+            squares = [chained(ws, ws, n) for n in range(6)]
+            for n in range(6):
+                assert adomian_polynomials(self.square, ws, n) == squares[n]
+                assert adomian_polynomials(cube, ws, n) == chained(squares, ws, n)
+
     def test_degenerate_split(self):
         # w0 = w, later iterates empty: A_0 = N(w), A_n = 0 for n >= 1
         for j in (2, 3):
