@@ -32,15 +32,17 @@ from .growth import (
     ObservationSeries,
     PredictionGrid,
     _best_order,
+    check_monthly,
     decreasing_steps,
     estimate_eta,
-    mae,
+    order_scores,
     predict_table,
     series_terms,
 )
 from .special import MLParams, gamma, mittag_leffler, mittag_leffler2
 
 SERIES_DEPTH_ENV = "FRACGROW_SERIES_DEPTH"
+SOURCE_DATE_ENV = "SOURCE_DATE_EPOCH"
 DEFAULT_ORDERS = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 
@@ -212,14 +214,60 @@ def make_bundle(
         provenance={
             "tool": "fracgrow",
             "config": cfg.as_dict(),
-            "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "generated_at": _generated_at(),
         },
     )
 
 
+def _generated_at() -> str:
+    """UTC ISO timestamp: ``SOURCE_DATE_EPOCH`` (seconds) when it is set, so
+    repeated runs write identical files, else the current time."""
+    epoch = os.environ.get(SOURCE_DATE_ENV)
+    if epoch is None:
+        moment = datetime.datetime.now(datetime.timezone.utc)
+    else:
+        try:
+            moment = datetime.datetime.fromtimestamp(int(epoch), datetime.timezone.utc)
+        except (ValueError, OverflowError, OSError):
+            raise ParseError(f"{SOURCE_DATE_ENV}: expected whole seconds since 1970, got {epoch!r}")
+    return moment.isoformat()
+
+
 def write_bundle_json(bundle: ResultBundle, stream: TextIO) -> None:
-    json.dump(bundle.to_json_dict(), stream, indent=2)
+    """Write exactly the bytes of ``json.dump(bundle.to_json_dict(), stream,
+    indent=2)`` followed by a newline, one flat list at a time."""
+    _write_json(bundle.to_json_dict(), stream.write, "\n")
     stream.write("\n")
+
+
+_JSON_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _write_json(value: object, write, newline: str) -> None:
+    """The ``indent=2`` layout of ``json.dump`` for dicts with string keys,
+    lists and scalars.  ``newline`` is a newline plus the enclosing indent.
+    A non-empty list of scalars goes through the C encoder in one call, with
+    the indented newline as its item separator."""
+    pad = newline + "  "
+    if isinstance(value, dict) and value:
+        sep = "{" + pad
+        for key, item in value.items():
+            write(sep + json.dumps(key) + ": ")
+            _write_json(item, write, pad)
+            sep = "," + pad
+        write(newline + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        if set(map(type, value)) <= _JSON_SCALARS:
+            write("[" + pad + json.dumps(value, separators=("," + pad, ": "))[1:-1] + newline + "]")
+        else:
+            sep = "[" + pad
+            for item in value:
+                write(sep)
+                _write_json(item, write, pad)
+                sep = "," + pad
+            write(newline + "]")
+    else:
+        write(json.dumps(value))
 
 
 def load_bundle(path: str) -> ResultBundle:
@@ -236,29 +284,35 @@ def _provenance_header(bundle: ResultBundle) -> List[str]:
 
 
 def write_grid_csv(bundle: ResultBundle, stream: TextIO) -> None:
-    """Wide-format grid CSV: one row per month, one column per order."""
+    """Wide-format grid CSV: one row per month, one column per order.
+
+    Cells print as ``f"{v:.17g}"`` and months as ``f"{month}"``; each row is
+    one ``%`` format, which gives the same bytes."""
     for line in _provenance_header(bundle):
         stream.write(line + "\n")
     orders = bundle.grid["orders"]
     stream.write("month," + ",".join(f"h_{b:g}" for b in orders) + "\n")
+    row_format = "%s" + ",%.17g" * len(orders) + "\n"
     for month, row in zip(bundle.grid["months"], bundle.grid["values"]):
-        stream.write(f"{month}," + ",".join(f"{v:.17g}" for v in row) + "\n")
+        stream.write(row_format % (month, *row))
 
 
 def write_plot_csv(bundle: ResultBundle, stream: TextIO) -> None:
-    """Long-format plot CSV: month, order, predicted, observed (if any)."""
+    """Long-format plot CSV: month, order, predicted, observed (if any).
+
+    Lines print as ``f"{month},{order:g},{value:.17g}"`` plus
+    ``f",{observed:.17g}"``; each line is one ``%`` format, which gives the
+    same bytes."""
     for line in _provenance_header(bundle):
         stream.write(line + "\n")
     observed = bundle.observed
     header = "month,order,predicted" + (",observed" if observed is not None else "")
     stream.write(header + "\n")
-    for i, month in enumerate(bundle.grid["months"]):
-        for j, order in enumerate(bundle.grid["orders"]):
-            value = bundle.grid["values"][i][j]
-            line = f"{month},{order:g},{value:.17g}"
-            if observed is not None:
-                line += f",{observed[i]:.17g}"
-            stream.write(line + "\n")
+    labels = [f"{order:g}" for order in bundle.grid["orders"]]
+    for i, (month, row) in enumerate(zip(bundle.grid["months"], bundle.grid["values"])):
+        tail = ",%.17g" % observed[i] if observed is not None else ""
+        for label, value in zip(labels, row):
+            stream.write("%s,%s,%.17g%s\n" % (month, label, value, tail))
 
 
 def _schedule_for_predict(cfg: RunConfig, args: argparse.Namespace):
@@ -267,6 +321,7 @@ def _schedule_for_predict(cfg: RunConfig, args: argparse.Namespace):
     m0, observed = cfg.m0, None
     if args.obs:
         obs = load_observations(args.obs)
+        check_monthly(obs)
         schedule = estimate_eta(obs, cfg.eta_mode)
         observed = obs.lengths
         m0 = observed[0]
@@ -290,9 +345,7 @@ def _predict(args: argparse.Namespace):
     schedule, m0, observed = _schedule_for_predict(cfg, args)
     orders = [FracOrder(b) for b in cfg.orders]
     grid = predict_table(m0, cfg.r, schedule, orders, cfg.convention)
-    scores = None
-    if observed is not None:
-        scores = {o: mae(grid.column(j), observed) for j, o in enumerate(orders)}
+    scores = order_scores(grid, observed) if observed is not None else None
     return cfg, m0, grid, observed, scores
 
 
@@ -332,11 +385,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg, _, grid, observed, scores = _predict(args)
     best = _best_order(scores, len(observed))
+    bundle = make_bundle(cfg, grid, scores, observed)
     print("order  mae")
     for o in sorted(scores, key=lambda o: o.beta):
         print(f"{o.beta:<5g}  {scores[o]:.15g}")
     print(f"best order: beta={best.beta:g}")
-    _emit_outputs(make_bundle(cfg, grid, scores, observed), args)
+    _emit_outputs(bundle, args)
     return 0
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -119,9 +120,6 @@ class PredictionGrid:
     values: Tuple[Tuple[float, ...], ...]  # one row per month
     convention: Convention
 
-    def column(self, order_index: int) -> List[float]:
-        return [row[order_index] for row in self.values]
-
 
 def closed_form(p: GrowthParams, s: float, t: float) -> float:
     """Closed-form solution M * e^{r s + (eta - r^beta) t}.
@@ -158,6 +156,18 @@ def series_terms(p: GrowthParams, depth: int) -> List[TermSum]:
     """Iterates w_0 ... w_depth computed through the decomposition engine."""
     w0 = TermSum.single(p.M, exp_mult=_SERIES_W0_EXP_MULT, t_power=0)
     return adm_iterate(w0, p.order, p.r, p.eta, n_iterations=depth)
+
+
+def check_monthly(obs: ObservationSeries) -> None:
+    """Raise :class:`DomainError` unless the observations fall on consecutive
+    months: a prediction grid steps one month per row, so a gap would pair
+    a one-month prediction with a multi-month observation."""
+    for (m1, _), (m2, _) in zip(obs.points, obs.points[1:]):
+        if m2 != m1 + 1:
+            raise DomainError(
+                f"observations skip from month {m1} to month {m2}; "
+                "the prediction grid needs one observation per month"
+            )
 
 
 def estimate_eta(obs: ObservationSeries, mode: EtaMode = EtaMode.ABSOLUTE) -> EtaSchedule:
@@ -214,19 +224,23 @@ def predict_table(
     eta_vals = etas.values
     months = tuple(range(1, len(eta_vals) + 2))
     rows: List[Tuple[float, ...]] = [tuple(M for _ in orders)]
-    for m_index, eta in enumerate(eta_vals, start=1):
-        if convention is Convention.CLOSED_FORM_PER_ROW:
-            row = tuple(
+    if convention is Convention.CLOSED_FORM_PER_ROW:
+        for m_index, eta in enumerate(eta_vals, start=1):
+            rows.append(tuple(
                 closed_form(GrowthParams(M, r, eta, o), float(m_index), float(m_index))
                 for o in orders
-            )
-        else:
-            prev = rows[-1]
-            row = tuple(
-                prev[j] * math.exp(step_exponent(r, eta, o, convention))
-                for j, o in enumerate(orders)
-            )
-        rows.append(row)
+            ))
+    else:
+        # The cumulative steps of step_exponent with r^beta taken once per
+        # order and (r + eta) once per row: the same float operations, so
+        # the rows are bit-identical.
+        rbs = [r ** o.beta for o in orders]
+        aging = convention is Convention.CUMULATIVE
+        prev = rows[0]
+        for eta in eta_vals:
+            base = r + eta if aging else eta
+            prev = tuple(p * math.exp(base - b) for p, b in zip(prev, rbs))
+            rows.append(prev)
     return PredictionGrid(months, tuple(orders), tuple(rows), convention)
 
 
@@ -248,7 +262,12 @@ def mae(predicted: Sequence[float], observed: Sequence[float]) -> float:
         )
     if not predicted:
         raise ValidationError("cannot score empty series")
-    return sum(abs(p - o) for p, o in zip(predicted, observed)) / len(predicted)
+    return sum(map(abs, map(operator.sub, predicted, observed))) / len(predicted)
+
+
+def order_scores(grid: PredictionGrid, observed: Sequence[float]) -> Dict[FracOrder, float]:
+    """MAE of each order's column of ``grid`` against the observed lengths."""
+    return {order: mae(column, observed) for order, column in zip(grid.orders, zip(*grid.values))}
 
 
 def fit_order(
@@ -260,15 +279,17 @@ def fit_order(
 ) -> Tuple[FracOrder, Dict[FracOrder, float]]:
     """Score every candidate order by MAE and return the best.
 
-    Rates are estimated from the observations, the grid is generated per
+    Rates are estimated from the observations, which must fall on
+    consecutive months (:func:`check_monthly`), the grid is generated per
     order, and each column is scored against the observed lengths.  Ties
     break toward the smaller beta.
     """
     if not orders:
         raise ValidationError("need at least one candidate order")
+    check_monthly(obs)
     observed = obs.lengths
     grid = predict_table(observed[0], r, estimate_eta(obs, eta_mode), list(orders), convention)
-    scores = {order: mae(grid.column(j), observed) for j, order in enumerate(orders)}
+    scores = order_scores(grid, observed)
     return _best_order(scores, len(obs.points)), scores
 
 

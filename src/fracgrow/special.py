@@ -9,7 +9,9 @@ with a relative-term stopping rule.
   summed exactly in integer arithmetic and rounded once, so the result is
   the correctly rounded value of the truncated series wherever the
   stopping rule fires within the term budget (with the defaults, z in about
-  [-130, 340] for alpha = beta = 1).
+  [-130, 340] for alpha = beta = 1).  Where a ``math.lgamma`` bound shows
+  the first term far below that rule (a huge alpha), 1/Gamma(beta) is
+  returned without the sum.
 * Other parameters are summed in floating point.  For z < 0 the sum
   alternates and loses about the ratio of its largest term to its value,
   e^{|z|^(1/alpha)} or more, to cancellation.  So this path meets 1e-9 only
@@ -143,6 +145,8 @@ def _ml_series(alpha: float, beta: float, z: float, tol: float, max_terms: int) 
         # exact rational), so the alternating sums that would otherwise lose
         # ~e^{2|z|} of relative accuracy can be carried exactly and rounded
         # once at the end.
+        if _first_term_negligible(alpha, beta, z, tol):
+            return total
         return _ml_series_exact(int(alpha), int(beta), z, tol, max_terms)
     log_abs_z = math.log(abs(z))
     sign_z = 1.0 if z > 0 else -1.0
@@ -161,6 +165,21 @@ def _ml_series(alpha: float, beta: float, z: float, tol: float, max_terms: int) 
                 raise _ml_overflow(alpha, beta, z)
             return total
     raise _ml_no_convergence(alpha, beta, z, max_terms)
+
+
+def _first_term_negligible(alpha: float, beta: float, z: float, tol: float) -> bool:
+    """Whether |z| / Gamma(alpha + beta) is below tol / Gamma(beta) with a
+    factor 1000 to spare, compared in logs.
+
+    For alpha >= 1 and beta >= 1 each later term shrinks by at least that
+    same ratio, so the whole tail is negligible and the sum is 1/Gamma(beta).
+    This spares the exact path from building (alpha + beta - 1)! for a huge
+    alpha only to find the first term below the stopping rule.
+    """
+    return tol > 0 and (
+        math.log(abs(z)) - math.lgamma(alpha + beta)
+        < math.log(tol) - math.log(1000.0) - math.lgamma(beta)
+    )
 
 
 def _ml_series_exact(alpha: int, beta: int, z: float, tol: float, max_terms: int) -> float:

@@ -366,6 +366,29 @@ class TestOutputsAndRoundTrip:
         assert regen.getvalue() == plot_path.read_text()
 
 
+class TestMonthGaps:
+    """Observations must fall on consecutive months: the grid steps one month
+    per row, so months 1,3,6,10 would be scored as months 1,2,3,4."""
+
+    @pytest.mark.parametrize("command", [["fit"], ["predict"]])
+    def test_gap_is_one_line_error(self, capsys, tmp_path, command):
+        path = tmp_path / "obs.csv"
+        path.write_text("month,length\n1,1.0\n2,1.2\n3,1.5\n6,2.0\n10,2.6\n")
+        code, out, err = run(capsys, *command, "--obs", str(path), "--json", str(tmp_path / "o.json"))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "from month 3 to month 6" in err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_consecutive_months_after_month_one_are_accepted(self, capsys, tmp_path):
+        lengths = self_consistent_series(0.5322, 0.04305, 0.7, 10)
+        path = write_obs(tmp_path / "obs.csv", lengths, start=4)
+        code, out, _ = run(capsys, "fit", "--obs", path, "--orders", "0.5,0.7,1.0")
+        assert code == 0
+        assert "best order: beta=0.7" in out
+
+
 class TestFitCommand:
     def test_round_trip(self, capsys, tmp_path):
         path = write_obs(tmp_path / "obs.csv", self_consistent_series(0.5322, 0.04305, 0.7, 10))

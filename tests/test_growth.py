@@ -281,6 +281,11 @@ class TestFitOrder:
         with pytest.raises(ValidationError):
             fit_order(obs_from_lengths([1.0, 2.0]), [FracOrder(0.5)], 0.04305)
 
+    def test_month_gap_rejected(self):
+        obs = ObservationSeries(((1, 1.0), (2, 1.2), (4, 1.5), (5, 1.7)))
+        with pytest.raises(DomainError, match="from month 2 to month 4"):
+            fit_order(obs, [FracOrder(0.5)], 0.04305)
+
 
 class TestEtaSchedule:
     def test_replace(self):

@@ -1,9 +1,11 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fracgrow import special
 from fracgrow.errors import DomainError, NonConvergenceError, PoleError, ValidationError
 from fracgrow.special import DEFAULT_MAX_TERMS, DEFAULT_TOL, MLParams, gamma, mittag_leffler, mittag_leffler2
 
@@ -149,6 +151,42 @@ class TestExactPath:
     def test_beta_two_is_expm1_over_z(self, z):
         value = mittag_leffler2(MLParams(alpha=1.0, beta=2.0), z)
         assert value == pytest.approx(math.expm1(z) / z, rel=1e-14)
+
+
+class TestNegligibleFirstTerm:
+    """Integer parameters whose m = 1 term is far below tol return
+    1/Gamma(beta) without the exact sum."""
+
+    @pytest.mark.parametrize("alpha,beta,z,expected", [
+        (1e6, 1.0, 1.0, 1.0),
+        (2e5, 1.0, -40.0, 1.0),
+        (2e5, 3.0, 7.5, 0.5),
+        (1e300, 2.0, 1e300, 1.0),
+    ])
+    def test_huge_alpha_returns_at_once(self, alpha, beta, z, expected):
+        start = time.perf_counter()
+        assert mittag_leffler2(MLParams(alpha=alpha, beta=beta), z) == expected
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("alpha", [1, 2, 5, 12, 30])
+    @pytest.mark.parametrize("beta", [1, 2, 4])
+    @pytest.mark.parametrize("factor", [0.01, 0.9, 1.1, 100.0])
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, 1e-8])
+    def test_agrees_with_exact_sum_near_the_bound(self, alpha, beta, factor, tol):
+        # z around the point where the bound starts to fire, on both sides
+        edge = math.exp(math.log(tol / 1000.0) - math.lgamma(beta) + math.lgamma(alpha + beta))
+        for z in (factor * edge, -factor * edge):
+            exact = special._ml_series_exact(alpha, beta, z, tol, DEFAULT_MAX_TERMS)
+            value = mittag_leffler2(MLParams(alpha=float(alpha), beta=float(beta)), z, tol=tol)
+            assert abs(value - exact) <= tol * abs(exact)
+            assert special._first_term_negligible(alpha, beta, z, tol) == (factor < 1)
+
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_never_fires_on_moderate_arguments(self, alpha):
+        for k in range(-3000, 5001):
+            z = k / 100.0
+            if z:
+                assert not special._first_term_negligible(alpha, 1, z, DEFAULT_TOL)
 
 
 class TestMittagLeffler2:
