@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
-from typing import Dict, List, Optional, Sequence, TextIO
+from typing import Callable, Dict, List, Optional, Sequence, TextIO
 
 from . import abalone
 from .errors import DomainError, FracgrowError, ParseError, ValidationError
@@ -39,7 +39,7 @@ from .growth import (
     predict_table,
     series_terms,
 )
-from .special import MLParams, gamma, mittag_leffler, mittag_leffler2
+from .special import MLParams, gamma, mittag_leffler
 
 SERIES_DEPTH_ENV = "FRACGROW_SERIES_DEPTH"
 SOURCE_DATE_ENV = "SOURCE_DATE_EPOCH"
@@ -316,15 +316,14 @@ def write_plot_csv(bundle: ResultBundle, stream: TextIO) -> None:
 
 
 def _schedule_for_predict(cfg: RunConfig, args: argparse.Namespace):
-    """(schedule, M, observed lengths or None) from flags/config, with the
+    """(schedule, M, observations or None) from flags/config, with the
     month-8 override applied whatever the source of the rates."""
-    m0, observed = cfg.m0, None
+    m0, obs = cfg.m0, None
     if args.obs:
         obs = load_observations(args.obs)
         check_monthly(obs)
         schedule = estimate_eta(obs, cfg.eta_mode)
-        observed = obs.lengths
-        m0 = observed[0]
+        m0 = obs.points[0][1]
     elif getattr(args, "reference", False):
         schedule = abalone.reference_schedule()
     elif cfg.etas is not None:
@@ -335,18 +334,22 @@ def _schedule_for_predict(cfg: RunConfig, args: argparse.Namespace):
         )
     if cfg.month8_override is not None:
         schedule = schedule.replaced(abalone.MONTH8_ROW - 1, cfg.month8_override)
-    return schedule, m0, observed
+    return schedule, m0, obs
 
 
 def _predict(args: argparse.Namespace):
     """(config, M, grid, observed lengths, MAE per order): the pipeline shared
-    by ``predict`` and ``fit``; the last two are None without observations."""
+    by ``predict`` and ``fit``; the last two are None without observations,
+    and with them the grid rows carry the observed (consecutive) months."""
     cfg = build_config(args)
-    schedule, m0, observed = _schedule_for_predict(cfg, args)
+    schedule, m0, obs = _schedule_for_predict(cfg, args)
     orders = [FracOrder(b) for b in cfg.orders]
     grid = predict_table(m0, cfg.r, schedule, orders, cfg.convention)
-    scores = order_scores(grid, observed) if observed is not None else None
-    return cfg, m0, grid, observed, scores
+    if obs is None:
+        return cfg, m0, grid, None, None
+    grid = replace(grid, months=tuple(obs.months))
+    observed = obs.lengths
+    return cfg, m0, grid, observed, order_scores(grid, observed)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -406,54 +409,46 @@ def _emit_outputs(bundle: ResultBundle, args: argparse.Namespace) -> None:
 def cmd_special(args: argparse.Namespace) -> int:
     if args.function == "gamma":
         value = gamma(args.x)
-    elif args.function == "ml":
-        value = mittag_leffler(MLParams(alpha=args.alpha), args.z)
-    else:  # ml2
-        value = mittag_leffler2(MLParams(alpha=args.alpha, beta=args.mlbeta), args.z)
+    else:
+        value = mittag_leffler(MLParams(alpha=args.alpha, beta=args.mlbeta), args.z)
     print(f"{value:.15g}")
     return 0
 
 
-def _caputo_values(args: argparse.Namespace) -> Dict[str, float]:
+def _caputo_rules(args: argparse.Namespace) -> Dict[str, Callable[[], float]]:
+    """Each rule's Caputo derivative of scale * e^{r s}, evaluated on call."""
     order = FracOrder(args.beta)
-    out: Dict[str, float] = {}
-    out["paper"] = caputo_exp_paper_rule(order, args.r, args.scale, args.s)
-    if args.s > 0 and args.beta < 1.0:
-        out["exact"] = args.scale * caputo_exp_exact(order, args.r, args.s)
-        spec = QuadratureSpec(nodes=args.nodes, grading=args.grading)
-        out["numeric"] = caputo_numeric(
-            order, lambda xi: args.scale * args.r * math.exp(args.r * xi), args.s, spec
-        )
-    elif args.beta == 1.0 and args.s > 0:
-        out["exact"] = args.scale * caputo_exp_exact(order, args.r, args.s)
-    return out
+    r, s, scale = args.r, args.s, args.scale
+    return {
+        "paper": lambda: caputo_exp_paper_rule(order, r, scale, s),
+        "exact": lambda: scale * caputo_exp_exact(order, r, s),
+        "numeric": lambda: caputo_numeric(
+            order, lambda xi: scale * r * math.exp(r * xi), s,
+            QuadratureSpec(nodes=args.nodes, grading=args.grading),
+        ),
+    }
 
 
 def cmd_caputo(args: argparse.Namespace) -> int:
-    """Caputo derivative of scale * e^{r s} under the selected rule."""
-    if args.compare:
-        values = _caputo_values(args)
-        for rule, value in values.items():
-            print(f"{rule}: {value:.15g}")
-        if "exact" in values:
-            diff = values["paper"] - values["exact"]
-            rel = abs(diff) / abs(values["exact"])
-            print(f"paper-exact abs diff: {abs(diff):.15g}")
-            print(f"paper-exact rel diff: {rel:.15g}")
-        if "numeric" in values and "exact" in values:
-            print(f"numeric-exact abs diff: {abs(values['numeric'] - values['exact']):.15g}")
+    """Caputo derivative of scale * e^{r s} under the selected rule, or
+    every rule that applies side by side."""
+    rules = _caputo_rules(args)
+    if not args.compare:
+        print(f"{rules[args.rule]():.15g}")
         return 0
-    order = FracOrder(args.beta)
-    if args.rule == "paper":
-        value = caputo_exp_paper_rule(order, args.r, args.scale, args.s)
-    elif args.rule == "exact":
-        value = args.scale * caputo_exp_exact(order, args.r, args.s)
-    else:
-        spec = QuadratureSpec(nodes=args.nodes, grading=args.grading)
-        value = caputo_numeric(
-            order, lambda xi: args.scale * args.r * math.exp(args.r * xi), args.s, spec
-        )
-    print(f"{value:.15g}")
+    shown = ["paper"]
+    if args.s > 0:
+        shown += ["exact", "numeric"] if args.beta < 1.0 else ["exact"]
+    values = {rule: rules[rule]() for rule in shown}
+    for rule, value in values.items():
+        print(f"{rule}: {value:.15g}")
+    if "exact" in values:
+        diff = values["paper"] - values["exact"]
+        rel = abs(diff) / abs(values["exact"])
+        print(f"paper-exact abs diff: {abs(diff):.15g}")
+        print(f"paper-exact rel diff: {rel:.15g}")
+    if "numeric" in values:
+        print(f"numeric-exact abs diff: {abs(values['numeric'] - values['exact']):.15g}")
     return 0
 
 
@@ -505,22 +500,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write the prediction grid as CSV")
 
     p = sub.add_parser("special", help="evaluate special functions")
-    p.add_argument("function", choices=["gamma", "ml", "ml2"])
-    p.add_argument("--x", type=float, help="gamma argument")
-    p.add_argument("--alpha", type=float, help="Mittag-Leffler alpha")
-    p.add_argument("--mlbeta", type=float, default=1.0, help="Mittag-Leffler second parameter")
-    p.add_argument("--z", type=float, help="Mittag-Leffler argument")
     p.set_defaults(func=cmd_special)
+    functions = p.add_subparsers(dest="function", required=True)
+    q = functions.add_parser("gamma", help="Gamma(x)")
+    q.add_argument("--x", type=float, required=True, help="gamma argument")
+    q = functions.add_parser("ml", help="Mittag-Leffler E_{alpha,beta}(z)")
+    q.add_argument("--alpha", type=float, required=True, help="Mittag-Leffler alpha")
+    q.add_argument("--mlbeta", type=float, default=1.0, help="Mittag-Leffler beta (default 1)")
+    q.add_argument("--z", type=float, required=True, help="Mittag-Leffler argument")
 
     p = sub.add_parser("caputo", help="Caputo derivative of scale * e^{r s}")
-    p.add_argument("--rule", choices=["paper", "exact", "numeric"], default="paper")
+    rule = p.add_mutually_exclusive_group()
+    rule.add_argument("--rule", choices=["paper", "exact", "numeric"], default="paper")
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--s", type=float, required=True)
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--nodes", type=int, default=4096)
     p.add_argument("--grading", type=float, default=2.0)
-    p.add_argument("--compare", action="store_true", help="print all applicable rules side by side")
+    rule.add_argument("--compare", action="store_true", help="print all applicable rules side by side")
     p.set_defaults(func=cmd_caputo)
 
     p = _settings_parser(sub, "series", cmd_series, "dump decomposition series terms")
@@ -530,19 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _validate_special(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    if args.command != "special":
-        return
-    if args.function == "gamma" and args.x is None:
-        parser.error("special gamma requires --x")
-    if args.function in ("ml", "ml2") and (args.alpha is None or args.z is None):
-        parser.error(f"special {args.function} requires --alpha and --z")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    _validate_special(args, parser)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (FracgrowError, OSError) as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, ValidationError
-from .special import MLParams, gamma, mittag_leffler2
+from .special import MLParams, gamma, mittag_leffler
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,7 @@ def caputo_exp_exact(order: FracOrder, r: float, s: float) -> float:
     if s <= 0:
         raise DomainError(f"caputo_exp_exact needs s > 0, got {s}")
     b = order.beta
-    ml = mittag_leffler2(MLParams(alpha=1.0, beta=2.0 - b), r * s)
+    ml = mittag_leffler(MLParams(alpha=1.0, beta=2.0 - b), r * s)
     return r * s ** (1.0 - b) * ml
 
 

@@ -255,14 +255,16 @@ def decreasing_steps(grid: PredictionGrid) -> List[Tuple[int, float]]:
 
 
 def mae(predicted: Sequence[float], observed: Sequence[float]) -> float:
-    """Mean absolute error between two equal-length series."""
+    """Mean absolute error between two equal-length series, the absolute
+    errors summed correctly rounded (``math.fsum``), so the score does not
+    depend on the Python version's float ``sum``."""
     if len(predicted) != len(observed):
         raise ValidationError(
             f"length mismatch: {len(predicted)} predicted vs {len(observed)} observed"
         )
     if not predicted:
         raise ValidationError("cannot score empty series")
-    return sum(map(abs, map(operator.sub, predicted, observed))) / len(predicted)
+    return math.fsum(map(abs, map(operator.sub, predicted, observed))) / len(predicted)
 
 
 def order_scores(grid: PredictionGrid, observed: Sequence[float]) -> Dict[FracOrder, float]:

@@ -1,9 +1,12 @@
 """Gamma and Mittag-Leffler special functions.
 
-The Mittag-Leffler functions generalize the exponential: the one-parameter
-form sums z^m / Gamma(m*alpha + 1), the two-parameter form sums
-z^m / Gamma(m*alpha + beta).  Both are evaluated by direct series summation
-with a relative-term stopping rule.
+:func:`gamma` is ``math.gamma`` with the package's errors, and exact
+factorials at the positive integers.
+
+The Mittag-Leffler function generalizes the exponential:
+:func:`mittag_leffler` sums z^m / Gamma(m*alpha + beta), with beta = 1 (the
+one-parameter E_alpha) unless :class:`MLParams` says otherwise.  The series
+is summed directly with a relative-term stopping rule.
 
 * Integer alpha and beta (E_1 = exp, E_2(z) = cosh sqrt(z), E_{1,2}) are
   summed exactly in integer arithmetic and rounded once, so the result is
@@ -31,23 +34,6 @@ from dataclasses import dataclass
 
 from .errors import DomainError, NonConvergenceError, PoleError, ValidationError
 
-# Lanczos approximation, g = 7, 9 coefficients (double precision).
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-# Gamma(x) exceeds the largest float from x ~ 171.62 on.
-_GAMMA_MAX_ARG = 171.7
-
 DEFAULT_TOL = 1e-15
 DEFAULT_MAX_TERMS = 500
 
@@ -71,40 +57,27 @@ class MLParams:
 
 
 def gamma(x: float) -> float:
-    """Gamma function for real ``x``, Lanczos approximation.
+    """Gamma function for real ``x``: ``math.gamma`` behind the package's
+    errors.
 
-    Uses the reflection formula for x < 0.5.  Raises :class:`PoleError`
-    at zero and the negative integers, and :class:`DomainError` for a
-    non-finite ``x`` or where Gamma(x) overflows or underflows a float.
+    Integer ``x`` up to 171 gives the correctly rounded (x-1)!.  Raises
+    :class:`PoleError` at zero and the negative integers, and
+    :class:`DomainError` for a non-finite ``x`` or where Gamma(x) overflows
+    or underflows a float.
     """
     if not math.isfinite(x):
         raise DomainError(f"gamma needs a finite argument, got {x}")
-    if x <= 0 and x == math.floor(x):
-        raise PoleError(f"gamma has a pole at {x}")
-    if x > _GAMMA_MAX_ARG:
-        raise DomainError(f"gamma({x}) overflows a float")
-    if x == math.floor(x) and x <= 171:
-        return float(math.factorial(int(x) - 1))
-    if x < 0.5:
-        # Gamma(x) = pi / (sin(pi x) * Gamma(1 - x))
-        try:
-            g = gamma(1.0 - x)
-        except DomainError:
-            raise DomainError(f"gamma({x}) underflows a float") from None
-        return math.pi / (math.sin(math.pi * x) * g)
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    base = z + _LANCZOS_G + 0.5
-    if x < 141.0:
-        return math.sqrt(2.0 * math.pi) * base ** (z + 0.5) * math.exp(-base) * acc
-    # base^(z+0.5) alone overflows from x ~ 142 on: apply it in two halves
-    # around e^-base, so every Gamma(x) below the float maximum stays finite.
-    half = base ** ((z + 0.5) / 2.0)
-    value = math.sqrt(2.0 * math.pi) * half * math.exp(-base) * half * acc
-    if value == math.inf:
-        raise DomainError(f"gamma({x}) overflows a float")
+    if x == math.floor(x):
+        if x <= 0:
+            raise PoleError(f"gamma has a pole at {x}")
+        if x <= 171:
+            return float(math.factorial(int(x) - 1))
+    try:
+        value = math.gamma(x)
+    except OverflowError:
+        raise DomainError(f"gamma({x}) overflows a float") from None
+    if value == 0.0:
+        raise DomainError(f"gamma({x}) underflows a float")
     return value
 
 
@@ -114,26 +87,9 @@ def mittag_leffler(
     tol: float = DEFAULT_TOL,
     max_terms: int = DEFAULT_MAX_TERMS,
 ) -> float:
-    """One-parameter Mittag-Leffler function E_alpha(z).
-
-    ``params.beta`` must be 1 (use :func:`mittag_leffler2` otherwise).
-    """
-    if params.beta != 1.0:
-        raise ValidationError("mittag_leffler requires beta = 1")
-    return _ml_series(params.alpha, 1.0, z, tol, max_terms)
-
-
-def mittag_leffler2(
-    params: MLParams,
-    z: float,
-    tol: float = DEFAULT_TOL,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> float:
-    """Two-parameter Mittag-Leffler function E_{alpha,beta}(z)."""
-    return _ml_series(params.alpha, params.beta, z, tol, max_terms)
-
-
-def _ml_series(alpha: float, beta: float, z: float, tol: float, max_terms: int) -> float:
+    """Mittag-Leffler function E_{alpha,beta}(z); ``params.beta`` defaults
+    to 1, which gives the one-parameter E_alpha(z)."""
+    alpha, beta = params.alpha, params.beta
     if not math.isfinite(z):
         raise DomainError(f"Mittag-Leffler needs a finite argument, got z={z}")
     # m = 0 term

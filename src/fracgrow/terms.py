@@ -238,11 +238,12 @@ def adm_iterate(
 
     Each step computes
 
-        w_{n+1} = Lt^-1(source) - Lt^-1(Ls(w_n)) + eta * Lt^-1(w_n) - Lt^-1(A_n)
+        w_{n+1} = -Lt^-1(Ls(w_n)) + eta * Lt^-1(w_n) - Lt^-1(A_n)
 
-    with the source and nonlinear contributions dropped when absent.  The
-    powers behind A_n grow by one order per step and live for this call:
-    N steps with top power J make (J - 1) N (N + 1) / 2 term products.
+    plus Lt^-1(source) in w_1 alone, with the source and nonlinear
+    contributions dropped when absent.  The powers behind A_n grow by one
+    order per step and live for this call: N steps with top power J make
+    (J - 1) N (N + 1) / 2 term products.
     """
     if n_iterations < 0:
         raise ValidationError("n_iterations must be non-negative")
@@ -250,7 +251,7 @@ def adm_iterate(
     powers = _new_powers(nl, ws) if nl is not None else None
     for i in range(n_iterations):
         nxt = TermSum.zero()
-        if source is not None and not source.is_zero():
+        if i == 0 and source is not None:
             nxt = term_add(nxt, apply_Lt_inverse(source))
         nxt = term_add(nxt, apply_Lt_inverse(apply_Ls(ws[i], order, r)).scaled(-1.0))
         nxt = term_add(nxt, apply_Lt_inverse(ws[i]).scaled(eta))

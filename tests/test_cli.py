@@ -40,7 +40,7 @@ class TestSpecialCommand:
 
     def test_ml2(self, capsys):
         code, out, _ = run(
-            capsys, "special", "ml2", "--alpha", "1", "--mlbeta", "2", "--z", "1"
+            capsys, "special", "ml", "--alpha", "1", "--mlbeta", "2", "--z", "1"
         )
         assert code == 0
         assert float(out) == pytest.approx(math.expm1(1.0), rel=1e-13)
@@ -49,6 +49,35 @@ class TestSpecialCommand:
         with pytest.raises(SystemExit) as exc:
             main(["special", "gamma"])
         assert exc.value.code == 2
+
+    def test_ml_honours_mlbeta(self, capsys):
+        # E_{1,2}(1) = e - 1, not E_1(1) = e
+        code, out, _ = run(capsys, "special", "ml", "--alpha", "1", "--mlbeta", "2", "--z", "1")
+        assert code == 0
+        assert out == "1.71828182845905\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gamma", "--x", "0.5", "--alpha", "3"],
+            ["gamma", "--x", "0.5", "--z", "1"],
+            ["ml", "--alpha", "1", "--z", "1", "--x", "2"],
+            ["ml", "--alpha", "1"],
+            ["ml", "--z", "1"],
+            ["ml2", "--alpha", "1", "--z", "1"],
+            ["--x", "0.5"],
+        ],
+    )
+    def test_foreign_missing_or_unknown_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["special", *argv])
+        assert exc.value.code == 2
+
+    def test_gamma_overflow_near_zero_is_one_line_error(self, capsys):
+        code, out, err = run(capsys, "special", "gamma", "--x", "5e-324")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_pole_is_domain_error(self, capsys):
         code, _, err = run(capsys, "special", "gamma", "--x", "-1")
@@ -67,7 +96,7 @@ class TestSpecialCommand:
             ["ml", "--alpha", "0.5", "--z", "inf"],
             ["ml", "--alpha", "0.5", "--z", "-50"],
             ["ml", "--alpha", "inf", "--z", "1"],
-            ["ml2", "--alpha", "1", "--mlbeta", "nan", "--z", "1"],
+            ["ml", "--alpha", "1", "--mlbeta", "nan", "--z", "1"],
         ],
     )
     def test_non_finite_or_overflow_is_one_line_error(self, capsys, argv):
@@ -101,6 +130,34 @@ class TestCaputoCommand:
         code, _, err = run(capsys, "caputo", "--rule", "paper", "--beta", "1.5", "--r", "0.1", "--s", "0")
         assert code == 1
         assert "error:" in err
+
+    def test_rule_and_compare_are_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["caputo", "--compare", "--rule", "exact", "--beta", "0.5", "--r", "1", "--s", "1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "beta,s,shown",
+        [
+            ("0.5", "1", ["paper", "exact", "numeric"]),
+            ("1", "1", ["paper", "exact"]),
+            ("0.5", "0", ["paper"]),
+        ],
+    )
+    def test_compare_lines(self, capsys, beta, s, shown):
+        code, out, _ = run(capsys, "caputo", "--compare", "--beta", beta, "--r", "1", "--s", s, "--nodes", "256")
+        assert code == 0
+        rules = [line.partition(":")[0] for line in out.splitlines()]
+        diffs = ["paper-exact abs diff", "paper-exact rel diff"] if "exact" in shown else []
+        diffs += ["numeric-exact abs diff"] if "numeric" in shown else []
+        assert rules == shown + diffs
+
+    @pytest.mark.parametrize("rule", ["paper", "exact", "numeric"])
+    def test_rule_matches_its_compare_line(self, capsys, rule):
+        argv = ["--beta", "0.6", "--r", "0.3", "--s", "2", "--scale", "1.5", "--nodes", "512"]
+        _, single, _ = run(capsys, "caputo", "--rule", rule, *argv)
+        _, compared, _ = run(capsys, "caputo", "--compare", *argv)
+        assert f"{rule}: {single}" in compared
 
 
 class TestSeriesCommand:
@@ -380,6 +437,22 @@ class TestMonthGaps:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert "from month 3 to month 6" in err
         assert not (tmp_path / "o.json").exists()
+
+    def test_outputs_carry_the_observed_months(self, capsys, tmp_path):
+        path = write_obs(tmp_path / "obs.csv", [1.0, 1.2, 1.5, 1.7], start=4)
+        json_path, grid_path, plot_path = tmp_path / "o.json", tmp_path / "g.csv", tmp_path / "p.csv"
+        code, _, _ = run(capsys, "fit", "--obs", path, "--orders", "0.5,1.0",
+                         "--json", str(json_path), "--csv", str(grid_path))
+        assert code == 0
+        assert json.loads(json_path.read_text())["grid"]["months"] == [4, 5, 6, 7]
+        rows = [line for line in grid_path.read_text().splitlines() if not line.startswith("#")]
+        assert [row.split(",")[0] for row in rows] == ["month", "4", "5", "6", "7"]
+        code, out, _ = run(capsys, "predict", "--obs", path, "--orders", "0.5", "--plot", str(plot_path))
+        assert code == 0
+        assert [line.split()[0] for line in out.splitlines()[2:6]] == ["4", "5", "6", "7"]
+        rows = [line for line in plot_path.read_text().splitlines() if not line.startswith("#")]
+        assert [row.split(",")[0] for row in rows] == ["month", "4", "5", "6", "7"]
+        assert rows[1].split(",")[3] == "1"
 
     def test_consecutive_months_after_month_one_are_accepted(self, capsys, tmp_path):
         lengths = self_consistent_series(0.5322, 0.04305, 0.7, 10)

@@ -242,6 +242,10 @@ class TestMae:
         with pytest.raises(ValidationError):
             mae([1.0], [1.0, 2.0])
 
+    def test_sum_is_correctly_rounded(self):
+        # a plain float sum drops both 1s on Python 3.11
+        assert mae([1e16, 1.0, 1.0], [0.0, 0.0, 0.0]) == (1e16 + 2) / 3
+
 
 class TestFitOrder:
     def test_round_trip_recovers_order(self):

@@ -180,7 +180,7 @@ def test_order_scores_are_column_maes():
     assert list(scores) == list(grid.orders)
     for j, order in enumerate(grid.orders):
         column = [row[j] for row in grid.values]
-        assert scores[order] == sum(abs(p - o) for p, o in zip(column, observed)) / 30
+        assert scores[order] == math.fsum(abs(p - o) for p, o in zip(column, observed)) / 30
 
 
 def test_one_row_grid_scores():

@@ -267,6 +267,23 @@ class TestAdmIterate:
         assert ws[1].coefficient(0, 1) == pytest.approx(0.5)
         assert ws[1].coefficient(2, 1) == pytest.approx(-1.0)
 
+    @pytest.mark.parametrize("n_iterations", [1, 2, 5, 10])
+    def test_constant_source_integrates_once(self, n_iterations):
+        # w_t = g with w(0) = w0 constant in s: w = w0 + g t at every depth
+        w0, g, t = 0.75, 2.0, 1.3
+        ws = adm_iterate(ts((w0, 0, 0)), FracOrder(0.5), 0.2, 0.0, source=ts((g, 0, 0)),
+                         n_iterations=n_iterations)
+        assert sum(evaluate(w, 0.2, 1.0, t) for w in ws) == pytest.approx(w0 + g * t, rel=1e-15)
+
+    def test_cubic_matches_bernoulli_closed_form(self):
+        # Terms constant in s make Ls vanish, so w_t = eta w - c w^3, a
+        # Bernoulli equation: w^-2 = c/eta + (w0^-2 - c/eta) e^{-2 eta t}.
+        eta, c, w0, t = 0.5, 0.3, 1.0, 0.5
+        nl = PolynomialNonlinearity.from_dict({3: c})
+        ws = adm_iterate(ts((w0, 0, 0)), FracOrder(0.5), 0.2, eta, nl=nl, n_iterations=24)
+        exact = (c / eta + (w0 ** -2 - c / eta) * math.exp(-2.0 * eta * t)) ** -0.5
+        assert abs(sum(evaluate(w, 0.2, 1.0, t) for w in ws) - exact) <= 1e-13
+
 
 def rebuilt_iterates(w0, order, r, eta, nl, n_iterations):
     """The recursion with every A_n rebuilt from scratch by the public
