@@ -10,7 +10,7 @@ each stepping convention.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .fractional import FracOrder
 from .growth import Convention, EtaSchedule, predict_table
@@ -21,7 +21,7 @@ INITIAL_GROWTH_RATE = 0.04305
 REFERENCE_ORDERS = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
 
 # Printed monthly growth rates; row m of the table carries the rate for the
-# step from month m-1 to month m, so entry index i is interval i+1.
+# step from month m-1 to month m, so entry index i is keyed month i+1.
 REFERENCE_ETAS = (
     0.4936, 0.4724, 0.4521, 0.4326, 0.4239, 0.3962, 0.0380, 0.3628,
     0.3472, 0.3322, 0.3179, 0.3043, 0.2911, 0.2786, 0.2666, 0.2551,
@@ -69,27 +69,30 @@ REFERENCE_TABLE = (
 REPORTED_MAE = (0.2622, 0.5373, 0.7517, 0.9155, 1.0382, 1.1294)
 
 
-def reference_schedule(month8_override: Optional[float] = None) -> EtaSchedule:
-    """Printed rate schedule, optionally with the row-8 value replaced."""
-    schedule = EtaSchedule(tuple(enumerate(REFERENCE_ETAS, start=1)))
-    if month8_override is not None:
-        schedule = schedule.replaced(MONTH8_ROW - 1, month8_override)
-    return schedule
+def reference_schedule() -> EtaSchedule:
+    """Printed rate schedule, keyed from month 1."""
+    return EtaSchedule(tuple(enumerate(REFERENCE_ETAS, start=1)))
 
 
-def deviation_report(
-    conventions: Sequence[Convention] = tuple(Convention),
-    month8_override: Optional[float] = None,
-) -> Dict[str, Dict[str, object]]:
+def correct_month8(schedule: EtaSchedule, eta: Optional[float]) -> EtaSchedule:
+    """``schedule`` with the rate of the step from month 7 to month 8 set to
+    ``eta``, whichever month the schedule starts at; unchanged when ``eta``
+    is None.  Raises ValidationError if the schedule lacks that step."""
+    if eta is None:
+        return schedule
+    return schedule.replaced(MONTH8_ROW - 1, eta)
+
+
+def deviation_report(month8_override: Optional[float] = None) -> Dict[str, Dict[str, object]]:
     """Cell-by-cell deviation of each convention's grid from the printed table.
 
     Returns, per convention: the generated grid values, the signed
     differences, and max/mean absolute deviation.
     """
     orders = [FracOrder(b) for b in REFERENCE_ORDERS]
-    etas = reference_schedule(month8_override)
+    etas = correct_month8(reference_schedule(), month8_override)
     out: Dict[str, Dict[str, object]] = {}
-    for conv in conventions:
+    for conv in Convention:
         grid = predict_table(INITIAL_LENGTH, INITIAL_GROWTH_RATE, etas, orders, conv)
         diffs: List[List[float]] = []
         abs_devs: List[float] = []

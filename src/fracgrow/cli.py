@@ -166,57 +166,32 @@ def load_observations(path: str) -> ObservationSeries:
     return ObservationSeries(tuple(points))
 
 
-@dataclass
-class ResultBundle:
-    """Grid plus scores plus enough provenance to regenerate any output."""
-
-    config: Dict[str, object]
-    grid: Dict[str, object]
-    scores: Optional[Dict[str, float]]
-    provenance: Dict[str, object]
-    observed: Optional[List[float]] = None
-
-    def to_json_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {"config": self.config, "grid": self.grid}
-        if self.scores is not None:
-            out["scores"] = self.scores
-        if self.observed is not None:
-            out["observed"] = self.observed
-        out["provenance"] = self.provenance
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: Dict[str, object]) -> "ResultBundle":
-        return cls(
-            config=data["config"],
-            grid=data["grid"],
-            scores=data.get("scores"),
-            provenance=data["provenance"],
-            observed=data.get("observed"),
-        )
-
-
 def make_bundle(
     cfg: RunConfig,
     grid: PredictionGrid,
     scores: Optional[Dict[FracOrder, float]] = None,
     observed: Optional[Sequence[float]] = None,
-) -> ResultBundle:
-    return ResultBundle(
-        config=cfg.as_dict(),
-        grid={
+) -> Dict[str, object]:
+    """The run's JSON document, keys in output order: ``config``, ``grid``,
+    ``scores``/``observed`` if given, and ``provenance`` to regenerate it."""
+    bundle: Dict[str, object] = {
+        "config": cfg.as_dict(),
+        "grid": {
             "months": list(grid.months),
             "orders": [o.beta for o in grid.orders],
             "values": [list(row) for row in grid.values],
         },
-        scores={f"{o.beta:g}": s for o, s in scores.items()} if scores else None,
-        observed=list(observed) if observed is not None else None,
-        provenance={
-            "tool": "fracgrow",
-            "config": cfg.as_dict(),
-            "generated_at": _generated_at(),
-        },
-    )
+    }
+    if scores:
+        bundle["scores"] = {f"{o.beta:g}": s for o, s in scores.items()}
+    if observed is not None:
+        bundle["observed"] = list(observed)
+    bundle["provenance"] = {
+        "tool": "fracgrow",
+        "config": cfg.as_dict(),
+        "generated_at": _generated_at(),
+    }
+    return bundle
 
 
 def _generated_at() -> str:
@@ -233,10 +208,10 @@ def _generated_at() -> str:
     return moment.isoformat()
 
 
-def write_bundle_json(bundle: ResultBundle, stream: TextIO) -> None:
-    """Write exactly the bytes of ``json.dump(bundle.to_json_dict(), stream,
-    indent=2)`` followed by a newline, one flat list at a time."""
-    _write_json(bundle.to_json_dict(), stream.write, "\n")
+def write_bundle_json(bundle: Dict[str, object], stream: TextIO) -> None:
+    """Write exactly the bytes of ``json.dump(bundle, stream, indent=2)``
+    followed by a newline, one flat list at a time."""
+    _write_json(bundle, stream.write, "\n")
     stream.write("\n")
 
 
@@ -270,34 +245,29 @@ def _write_json(value: object, write, newline: str) -> None:
         write(json.dumps(value))
 
 
-def load_bundle(path: str) -> ResultBundle:
-    with open(path) as fh:
-        return ResultBundle.from_json_dict(json.load(fh))
-
-
-def _provenance_header(bundle: ResultBundle) -> List[str]:
-    lines = [f"# tool = {bundle.provenance['tool']}"]
-    for key, value in sorted(bundle.provenance["config"].items()):
+def _provenance_header(bundle: Dict[str, object]) -> List[str]:
+    lines = [f"# tool = {bundle['provenance']['tool']}"]
+    for key, value in sorted(bundle["provenance"]["config"].items()):
         lines.append(f"# {key} = {value}")
-    lines.append(f"# generated_at = {bundle.provenance['generated_at']}")
+    lines.append(f"# generated_at = {bundle['provenance']['generated_at']}")
     return lines
 
 
-def write_grid_csv(bundle: ResultBundle, stream: TextIO) -> None:
+def write_grid_csv(bundle: Dict[str, object], stream: TextIO) -> None:
     """Wide-format grid CSV: one row per month, one column per order.
 
     Cells print as ``f"{v:.17g}"`` and months as ``f"{month}"``; each row is
     one ``%`` format, which gives the same bytes."""
     for line in _provenance_header(bundle):
         stream.write(line + "\n")
-    orders = bundle.grid["orders"]
-    stream.write("month," + ",".join(f"h_{b:g}" for b in orders) + "\n")
-    row_format = "%s" + ",%.17g" * len(orders) + "\n"
-    for month, row in zip(bundle.grid["months"], bundle.grid["values"]):
+    grid = bundle["grid"]
+    stream.write("month," + ",".join(f"h_{b:g}" for b in grid["orders"]) + "\n")
+    row_format = "%s" + ",%.17g" * len(grid["orders"]) + "\n"
+    for month, row in zip(grid["months"], grid["values"]):
         stream.write(row_format % (month, *row))
 
 
-def write_plot_csv(bundle: ResultBundle, stream: TextIO) -> None:
+def write_plot_csv(bundle: Dict[str, object], stream: TextIO) -> None:
     """Long-format plot CSV: month, order, predicted, observed (if any).
 
     Lines print as ``f"{month},{order:g},{value:.17g}"`` plus
@@ -305,19 +275,22 @@ def write_plot_csv(bundle: ResultBundle, stream: TextIO) -> None:
     same bytes."""
     for line in _provenance_header(bundle):
         stream.write(line + "\n")
-    observed = bundle.observed
+    grid, observed = bundle["grid"], bundle.get("observed")
     header = "month,order,predicted" + (",observed" if observed is not None else "")
     stream.write(header + "\n")
-    labels = [f"{order:g}" for order in bundle.grid["orders"]]
-    for i, (month, row) in enumerate(zip(bundle.grid["months"], bundle.grid["values"])):
+    labels = [f"{order:g}" for order in grid["orders"]]
+    for i, (month, row) in enumerate(zip(grid["months"], grid["values"])):
         tail = ",%.17g" % observed[i] if observed is not None else ""
         for label, value in zip(labels, row):
             stream.write("%s,%s,%.17g%s\n" % (month, label, value, tail))
 
 
-def _schedule_for_predict(cfg: RunConfig, args: argparse.Namespace):
-    """(schedule, M, observations or None) from flags/config, with the
-    month-8 override applied whatever the source of the rates."""
+def _predict(args: argparse.Namespace):
+    """(config, M, grid, observed lengths, MAE per order): the pipeline shared
+    by ``predict`` and ``fit``; the last two are None without observations.
+    The rates come from ``--obs``, ``--reference`` or the config ``etas``,
+    with the month-8 override applied whatever their source."""
+    cfg = build_config(args)
     m0, obs = cfg.m0, None
     if args.obs:
         obs = load_observations(args.obs)
@@ -332,22 +305,11 @@ def _schedule_for_predict(cfg: RunConfig, args: argparse.Namespace):
         raise DomainError(
             "no growth rates: pass --obs, --reference, or an 'etas' config entry"
         )
-    if cfg.month8_override is not None:
-        schedule = schedule.replaced(abalone.MONTH8_ROW - 1, cfg.month8_override)
-    return schedule, m0, obs
-
-
-def _predict(args: argparse.Namespace):
-    """(config, M, grid, observed lengths, MAE per order): the pipeline shared
-    by ``predict`` and ``fit``; the last two are None without observations,
-    and with them the grid rows carry the observed (consecutive) months."""
-    cfg = build_config(args)
-    schedule, m0, obs = _schedule_for_predict(cfg, args)
+    schedule = abalone.correct_month8(schedule, cfg.month8_override)
     orders = [FracOrder(b) for b in cfg.orders]
     grid = predict_table(m0, cfg.r, schedule, orders, cfg.convention)
     if obs is None:
         return cfg, m0, grid, None, None
-    grid = replace(grid, months=tuple(obs.months))
     observed = obs.lengths
     return cfg, m0, grid, observed, order_scores(grid, observed)
 
@@ -397,7 +359,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _emit_outputs(bundle: ResultBundle, args: argparse.Namespace) -> None:
+def _emit_outputs(bundle: Dict[str, object], args: argparse.Namespace) -> None:
     writers = (("json", write_bundle_json), ("csv", write_grid_csv), ("plot", write_plot_csv))
     for name, write in writers:
         path = getattr(args, name, None)
@@ -419,13 +381,11 @@ def _caputo_rules(args: argparse.Namespace) -> Dict[str, Callable[[], float]]:
     """Each rule's Caputo derivative of scale * e^{r s}, evaluated on call."""
     order = FracOrder(args.beta)
     r, s, scale = args.r, args.s, args.scale
+    spec = QuadratureSpec(nodes=args.nodes, grading=args.grading)
     return {
         "paper": lambda: caputo_exp_paper_rule(order, r, scale, s),
         "exact": lambda: scale * caputo_exp_exact(order, r, s),
-        "numeric": lambda: caputo_numeric(
-            order, lambda xi: scale * r * math.exp(r * xi), s,
-            QuadratureSpec(nodes=args.nodes, grading=args.grading),
-        ),
+        "numeric": lambda: caputo_numeric(order, lambda xi: scale * r * math.exp(r * xi), s, spec),
     }
 
 

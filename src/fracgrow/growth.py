@@ -74,7 +74,8 @@ class ObservationSeries:
 
 @dataclass(frozen=True)
 class EtaSchedule:
-    """Per-interval growth rates; interval i covers the step month i -> i+1."""
+    """Monthly growth rates keyed by month: the rate keyed m is that of the
+    step from month m to month m + 1."""
 
     rates: Tuple[Tuple[int, float], ...]
 
@@ -89,12 +90,14 @@ class EtaSchedule:
     def values(self) -> List[float]:
         return [eta for _, eta in self.rates]
 
-    def replaced(self, interval: int, eta: float) -> "EtaSchedule":
-        """Copy of the schedule with one interval's rate replaced."""
-        if interval not in {i for i, _ in self.rates}:
-            raise ValidationError(f"no interval {interval} in schedule")
+    def replaced(self, month: int, eta: float) -> "EtaSchedule":
+        """Copy of the schedule with the rate keyed ``month`` replaced."""
+        months = [m for m, _ in self.rates]
+        if month not in months:
+            raise ValidationError(f"no rate for the step from month {month} to month {month + 1}: "
+                                  f"the rates cover months {months[0]} to {months[-1] + 1}")
         return EtaSchedule(
-            tuple((i, eta if i == interval else e) for i, e in self.rates)
+            tuple((m, eta if m == month else e) for m, e in self.rates)
         )
 
 
@@ -171,24 +174,21 @@ def check_monthly(obs: ObservationSeries) -> None:
 
 
 def estimate_eta(obs: ObservationSeries, mode: EtaMode = EtaMode.ABSOLUTE) -> EtaSchedule:
-    """Growth rates from consecutive observations.
+    """Growth rates between neighbouring observations, each keyed by the
+    month its step starts at: observations at months 4..7 give keys 4, 5, 6.
 
-    ABSOLUTE: eta_i = (h_{i+1} - h_i) / (t_{i+1} - t_i).
-    SPECIFIC: the same quantity divided by h_i (per-capita rate).
+    ABSOLUTE: eta = (h2 - h1) / (m2 - m1) for observations (m1, h1), (m2, h2).
+    SPECIFIC: the same quantity divided by h1 (per-capita rate).
     """
     pts = obs.points
     if len(pts) < 2:
         raise ValidationError("need at least 2 observations to estimate rates")
     rates = []
-    for i in range(len(pts) - 1):
-        (m1, h1), (m2, h2) = pts[i], pts[i + 1]
-        dt = m2 - m1
-        if dt == 0:
-            raise DomainError(f"degenerate interval at month {m1}")
-        eta = (h2 - h1) / dt
+    for (m1, h1), (m2, h2) in zip(pts, pts[1:]):
+        eta = (h2 - h1) / (m2 - m1)
         if mode is EtaMode.SPECIFIC:
             eta /= h1
-        rates.append((i + 1, eta))
+        rates.append((m1, eta))
     return EtaSchedule(tuple(rates))
 
 
@@ -211,9 +211,11 @@ def predict_table(
 ) -> PredictionGrid:
     """Prediction grid, one row per month, one column per fractional order.
 
-    CLOSED_FORM_PER_ROW evaluates the closed form at s = t = m-1 with that
-    month's eta; the cumulative conventions advance the previous row by one
-    monthly factor (with or without the aging term r * ds).
+    Rows run from the first rate's month, whose row is M, and each rate,
+    keyed by consecutive months, steps to the next row.  CLOSED_FORM_PER_ROW
+    evaluates the closed form at s = t = rows since the first, with the rate
+    of the step into that row; the cumulative conventions advance the
+    previous row by one monthly factor (with or without the aging term r * ds).
     """
     if not (M > 0 and math.isfinite(M)):
         raise ValidationError(f"M must be positive and finite, got {M}")
@@ -221,8 +223,10 @@ def predict_table(
         raise ValidationError(f"r must lie in (0, 1), got {r}")
     if not orders:
         raise ValidationError("need at least one fractional order")
-    eta_vals = etas.values
-    months = tuple(range(1, len(eta_vals) + 2))
+    keys, eta_vals = zip(*etas.rates)
+    months = tuple(range(keys[0], keys[0] + len(keys) + 1))
+    if keys != months[:-1]:
+        raise ValidationError(f"rates must be keyed by consecutive months from month {keys[0]}")
     rows: List[Tuple[float, ...]] = [tuple(M for _ in orders)]
     if convention is Convention.CLOSED_FORM_PER_ROW:
         for m_index, eta in enumerate(eta_vals, start=1):

@@ -5,7 +5,6 @@ import pytest
 
 from fracgrow import cli, growth
 from fracgrow.cli import (
-    load_bundle,
     load_observations,
     main,
     write_plot_csv,
@@ -130,6 +129,15 @@ class TestCaputoCommand:
         code, _, err = run(capsys, "caputo", "--rule", "paper", "--beta", "1.5", "--r", "0.1", "--s", "0")
         assert code == 1
         assert "error:" in err
+
+    @pytest.mark.parametrize("rule", [["--rule", "paper"], ["--rule", "exact"], ["--rule", "numeric"],
+                                      ["--compare"]])
+    @pytest.mark.parametrize("flag", [["--nodes", "1"], ["--grading", "0.5"]])
+    def test_bad_quadrature_flag_is_error_under_every_rule(self, capsys, rule, flag):
+        code, out, err = run(capsys, "caputo", *rule, *flag, "--beta", "0.5", "--r", "0.1", "--s", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
 
     def test_rule_and_compare_are_exclusive(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -415,7 +423,7 @@ class TestOutputsAndRoundTrip:
             capsys, "predict", "--reference", "--json", str(json_path), "--plot", str(plot_path)
         )
         assert code == 0
-        bundle = load_bundle(str(json_path))
+        bundle = json.loads(json_path.read_text())
         import io
 
         regen = io.StringIO()
@@ -460,6 +468,52 @@ class TestMonthGaps:
         code, out, _ = run(capsys, "fit", "--obs", path, "--orders", "0.5,0.7,1.0")
         assert code == 0
         assert "best order: beta=0.7" in out
+
+
+class TestMonth8Override:
+    """``--correct-month8`` replaces the rate of the step from month 7 to
+    month 8, whichever month the observations start at."""
+
+    def _grids(self, capsys, tmp_path, command, start):
+        lengths = self_consistent_series(0.5322, 0.04305, 0.7, 12)
+        path = write_obs(tmp_path / "obs.csv", lengths, start=start)
+        grids = []
+        for extra in ([], ["--correct-month8", "0.5"]):
+            json_path = tmp_path / f"out{len(grids)}.json"
+            code, _, _ = run(capsys, command, "--obs", path, "--orders", "0.5,1.0",
+                             "--json", str(json_path), *extra)
+            assert code == 0
+            grids.append(json.loads(json_path.read_text())["grid"])
+        return grids
+
+    @pytest.mark.parametrize("command", ["predict", "fit"])
+    def test_late_start_changes_month_8(self, capsys, tmp_path, command):
+        plain, fixed = self._grids(capsys, tmp_path, command, start=4)
+        assert fixed["months"] == plain["months"] == list(range(4, 16))
+        assert fixed["values"][:4] == plain["values"][:4]  # months 4-7
+        assert all(a != b for a, b in zip(fixed["values"][4], plain["values"][4]))  # month 8
+
+    @pytest.mark.parametrize("command", ["predict", "fit"])
+    def test_rates_after_month_8_are_one_line_error(self, capsys, tmp_path, command):
+        path = write_obs(tmp_path / "obs.csv", self_consistent_series(0.5322, 0.04305, 0.7, 8), start=9)
+        json_path = tmp_path / "out.json"
+        code, out, err = run(capsys, command, "--obs", path, "--correct-month8", "0.5",
+                             "--json", str(json_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "month 7 to month 8" in err and "months 9 to 16" in err
+        assert not json_path.exists()
+
+    def test_config_etas_from_month_1(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("etas = " + ", ".join(["0.2"] * 9) + "\norders = 0.5\n")
+        json_path = tmp_path / "out.json"
+        code, _, _ = run(capsys, "predict", "--config", str(cfg), "--correct-month8", "-0.5",
+                         "--json", str(json_path))
+        assert code == 0
+        column = [row[0] for row in json.loads(json_path.read_text())["grid"]["values"]]
+        assert [b < a for a, b in zip(column, column[1:])] == [False] * 6 + [True] + [False] * 2
 
 
 class TestFitCommand:

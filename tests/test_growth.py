@@ -136,6 +136,10 @@ class TestEstimateEta:
         with pytest.raises(ValidationError):
             estimate_eta(obs_from_lengths([2.0]))
 
+    def test_keyed_by_the_month_each_step_starts(self):
+        sched = estimate_eta(obs_from_lengths([2.0, 3.0, 5.0, 6.0], start=4))
+        assert sched.rates == ((4, 1.0), (5, 2.0), (6, 1.0))
+
 
 class TestObservationSeries:
     def test_duplicate_month_rejected(self):
@@ -184,6 +188,18 @@ class TestPredictTable:
         assert len(grid.values) == 24
         assert all(len(row) == 6 for row in grid.values)
 
+    @pytest.mark.parametrize("convention", list(Convention))
+    def test_rows_labelled_from_first_key(self, convention):
+        grid = predict_table(2.0, 0.3, EtaSchedule(((4, 0.5), (5, 0.6), (6, 0.1))), self.orders, convention)
+        assert grid.months == (4, 5, 6, 7)
+        keyed_from_one = predict_table(2.0, 0.3, EtaSchedule(((1, 0.5), (2, 0.6), (3, 0.1))),
+                                       self.orders, convention)
+        assert grid.values == keyed_from_one.values
+
+    def test_non_consecutive_keys_rejected(self):
+        with pytest.raises(ValidationError, match="consecutive"):
+            predict_table(2.0, 0.3, EtaSchedule(((1, 0.5), (3, 0.6))), self.orders)
+
     def test_requires_orders(self):
         with pytest.raises(ValidationError):
             predict_table(0.5322, 0.04305, self.etas, [])
@@ -215,7 +231,7 @@ class TestMonth8Diagnostic:
         grid = predict_table(
             0.5322,
             0.04305,
-            abalone.reference_schedule(abalone.MONTH8_CORRECTED),
+            abalone.correct_month8(abalone.reference_schedule(), abalone.MONTH8_CORRECTED),
             [FracOrder(0.5)],
         )
         assert decreasing_steps(grid) == []
@@ -299,6 +315,13 @@ class TestEtaSchedule:
     def test_replace_missing_interval(self):
         with pytest.raises(ValidationError):
             EtaSchedule(((1, 0.5),)).replaced(3, 0.9)
+
+    def test_month8_override_replaces_the_rate_keyed_7(self):
+        sched = EtaSchedule(tuple((m, 0.1) for m in range(5, 10)))
+        assert abalone.correct_month8(sched, 0.9).rates == ((5, 0.1), (6, 0.1), (7, 0.9), (8, 0.1), (9, 0.1))
+        assert abalone.correct_month8(sched, None) is sched
+        with pytest.raises(ValidationError, match="cover months 8 to 13"):
+            abalone.correct_month8(EtaSchedule(tuple((m, 0.1) for m in range(8, 13))), 0.9)
 
     @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
     def test_nonfinite_rate_rejected(self, eta):

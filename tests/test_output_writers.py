@@ -11,7 +11,6 @@ import random
 import pytest
 
 from fracgrow.cli import (
-    ResultBundle,
     RunConfig,
     _provenance_header,
     main,
@@ -48,13 +47,12 @@ def _raw_bundle(values, months=None, orders=None, observed=None):
     months = months if months is not None else list(range(1, len(values) + 1))
     orders = orders if orders is not None else [0.5 + 0.1 * j for j in range(len(values[0]))]
     cfg = RunConfig().as_dict()
-    return ResultBundle(
-        config=cfg,
-        grid={"months": months, "orders": orders, "values": values},
-        scores=None,
-        provenance={"tool": "fracgrow", "config": cfg, "generated_at": "2024-01-01T00:00:00+00:00"},
-        observed=observed,
-    )
+    bundle = {"config": cfg, "grid": {"months": months, "orders": orders, "values": values}}
+    if observed is not None:
+        bundle["observed"] = observed
+    bundle["provenance"] = {"tool": "fracgrow", "config": cfg,
+                            "generated_at": "2024-01-01T00:00:00+00:00"}
+    return bundle
 
 
 def _json_text(bundle):
@@ -64,7 +62,7 @@ def _json_text(bundle):
 
 
 def _reference_json(bundle):
-    return json.dumps(bundle.to_json_dict(), indent=2) + "\n"
+    return json.dumps(bundle, indent=2) + "\n"
 
 
 def _reference_grid_csv(bundle):
@@ -72,9 +70,9 @@ def _reference_grid_csv(bundle):
     out = io.StringIO()
     for line in _provenance_header(bundle):
         out.write(line + "\n")
-    orders = bundle.grid["orders"]
+    orders = bundle["grid"]["orders"]
     out.write("month," + ",".join(f"h_{b:g}" for b in orders) + "\n")
-    for month, row in zip(bundle.grid["months"], bundle.grid["values"]):
+    for month, row in zip(bundle["grid"]["months"], bundle["grid"]["values"]):
         out.write(f"{month}," + ",".join(f"{v:.17g}" for v in row) + "\n")
     return out.getvalue()
 
@@ -84,11 +82,11 @@ def _reference_plot_csv(bundle):
     out = io.StringIO()
     for line in _provenance_header(bundle):
         out.write(line + "\n")
-    observed = bundle.observed
+    observed = bundle.get("observed")
     out.write("month,order,predicted" + (",observed" if observed is not None else "") + "\n")
-    for i, month in enumerate(bundle.grid["months"]):
-        for j, order in enumerate(bundle.grid["orders"]):
-            line = f"{month},{order:g},{bundle.grid['values'][i][j]:.17g}"
+    for i, month in enumerate(bundle["grid"]["months"]):
+        for j, order in enumerate(bundle["grid"]["orders"]):
+            line = f"{month},{order:g},{bundle['grid']['values'][i][j]:.17g}"
             if observed is not None:
                 line += f",{observed[i]:.17g}"
             out.write(line + "\n")
@@ -128,14 +126,14 @@ def test_bundle_json_nested_values():
     # Mixed lists, empty containers, strings that need escaping and nested
     # dicts take the general path; flat lists the C encoder.
     bundle = _raw_bundle([[1.0]])
-    bundle.config = {
+    bundle["config"] = {
         "mixed": [1, [2.5, "x"], {"k": []}, None, True],
         "empty_list": [],
         "empty_dict": {},
         "text": "café \"quoted\"\n\t",
         "deep": {"a": {"b": [[[]], [[1, 2]]]}},
     }
-    bundle.scores = {"0.5": 0.25, "1": math.inf}
+    bundle["scores"] = {"0.5": 0.25, "1": math.inf}
     assert _json_text(bundle) == _reference_json(bundle)
 
 
@@ -150,8 +148,8 @@ def test_grid_csv_matches_fstring_form(name):
 @pytest.mark.parametrize("name", sorted(_bundles()))
 def test_plot_csv_matches_fstring_form(name):
     bundle = _bundles()[name]
-    if bundle.observed is not None and len(bundle.observed) < len(bundle.grid["months"]):
-        bundle.observed = None
+    if bundle.get("observed") is not None and len(bundle["observed"]) < len(bundle["grid"]["months"]):
+        del bundle["observed"]
     out = io.StringIO()
     write_plot_csv(bundle, out)
     assert out.getvalue() == _reference_plot_csv(bundle)
