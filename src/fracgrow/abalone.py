@@ -10,7 +10,7 @@ each stepping convention.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from .fractional import FracOrder
 from .growth import Convention, EtaSchedule, predict_table
@@ -86,23 +86,18 @@ def correct_month8(schedule: EtaSchedule, eta: Optional[float]) -> EtaSchedule:
 def deviation_report(month8_override: Optional[float] = None) -> Dict[str, Dict[str, object]]:
     """Cell-by-cell deviation of each convention's grid from the printed table.
 
-    Returns, per convention: the generated grid values, the signed
-    differences, and max/mean absolute deviation.
+    Returns, per convention: the generated grid values and the max/mean
+    absolute deviation.
     """
     orders = [FracOrder(b) for b in REFERENCE_ORDERS]
     etas = correct_month8(reference_schedule(), month8_override)
     out: Dict[str, Dict[str, object]] = {}
     for conv in Convention:
         grid = predict_table(INITIAL_LENGTH, INITIAL_GROWTH_RATE, etas, orders, conv)
-        diffs: List[List[float]] = []
-        abs_devs: List[float] = []
-        for row, ref_row in zip(grid.values, REFERENCE_TABLE):
-            drow = [v - ref for v, ref in zip(row, ref_row)]
-            diffs.append(drow)
-            abs_devs.extend(abs(d) for d in drow)
+        abs_devs = [abs(v - ref) for row, ref_row in zip(grid.values, REFERENCE_TABLE)
+                    for v, ref in zip(row, ref_row)]
         out[conv.value] = {
             "values": [list(row) for row in grid.values],
-            "differences": diffs,
             "max_abs_deviation": max(abs_devs),
             "mean_abs_deviation": sum(abs_devs) / len(abs_devs),
         }

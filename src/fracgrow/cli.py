@@ -31,8 +31,7 @@ from .growth import (
     GrowthParams,
     ObservationSeries,
     PredictionGrid,
-    _best_order,
-    check_monthly,
+    best_order,
     decreasing_steps,
     estimate_eta,
     order_scores,
@@ -286,7 +285,7 @@ def write_plot_csv(bundle: Dict[str, object], stream: TextIO) -> None:
 
 
 def _predict(args: argparse.Namespace):
-    """(config, M, grid, observed lengths, MAE per order): the pipeline shared
+    """(config, grid, observed lengths, MAE per order): the pipeline shared
     by ``predict`` and ``fit``; the last two are None without observations.
     The rates come from ``--obs``, ``--reference`` or the config ``etas``,
     with the month-8 override applied whatever their source."""
@@ -294,7 +293,6 @@ def _predict(args: argparse.Namespace):
     m0, obs = cfg.m0, None
     if args.obs:
         obs = load_observations(args.obs)
-        check_monthly(obs)
         schedule = estimate_eta(obs, cfg.eta_mode)
         m0 = obs.points[0][1]
     elif getattr(args, "reference", False):
@@ -309,16 +307,20 @@ def _predict(args: argparse.Namespace):
     orders = [FracOrder(b) for b in cfg.orders]
     grid = predict_table(m0, cfg.r, schedule, orders, cfg.convention)
     if obs is None:
-        return cfg, m0, grid, None, None
+        return cfg, grid, None, None
     observed = obs.lengths
-    return cfg, m0, grid, observed, order_scores(grid, observed)
+    return cfg, grid, observed, order_scores(grid, observed)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    cfg, m0, grid, observed, scores = _predict(args)
+    if args.obs and args.m0 is not None:
+        args.usage_error("--m0 is not allowed with --obs: the grid starts at the first observed length")
+    if not args.obs and args.eta_mode is not None:
+        args.usage_error("--eta-mode needs --obs: it sets how observed lengths become rates")
+    cfg, grid, observed, scores = _predict(args)
     bundle = make_bundle(cfg, grid, scores, observed)
 
-    print(f"Prediction grid ({cfg.convention.value}), M={m0:g}, r={cfg.r:g}")
+    print(f"Prediction grid ({cfg.convention.value}), M={grid.values[0][0]:g}, r={cfg.r:g}")
     print("month  " + "  ".join(f"h_{o.beta:g}" for o in grid.orders))
     for month, row in zip(grid.months, grid.values):
         print(f"{month:>5}  " + "  ".join(f"{v:.4f}" for v in row))
@@ -348,8 +350,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
-    cfg, _, grid, observed, scores = _predict(args)
-    best = _best_order(scores, len(observed))
+    cfg, grid, observed, scores = _predict(args)
+    best = best_order(scores, len(observed))
     bundle = make_bundle(cfg, grid, scores, observed)
     print("order  mae")
     for o in sorted(scores, key=lambda o: o.beta):
@@ -447,6 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = _settings_parser(sub, "predict", cmd_predict, "generate a prediction grid")
+    p.set_defaults(usage_error=p.error)
     p.add_argument("--obs", help="observation CSV (month,length)")
     p.add_argument("--reference", action="store_true", help="use the built-in reference rate column")
     p.add_argument("--json", help="write the result bundle as JSON")

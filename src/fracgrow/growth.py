@@ -86,10 +86,6 @@ class EtaSchedule:
             if not math.isfinite(eta):
                 raise ValidationError(f"rate of interval {interval} must be finite, got {eta}")
 
-    @property
-    def values(self) -> List[float]:
-        return [eta for _, eta in self.rates]
-
     def replaced(self, month: int, eta: float) -> "EtaSchedule":
         """Copy of the schedule with the rate keyed ``month`` replaced."""
         months = [m for m, _ in self.rates]
@@ -121,7 +117,6 @@ class PredictionGrid:
     months: Tuple[int, ...]
     orders: Tuple[FracOrder, ...]
     values: Tuple[Tuple[float, ...], ...]  # one row per month
-    convention: Convention
 
 
 def closed_form(p: GrowthParams, s: float, t: float) -> float:
@@ -161,23 +156,15 @@ def series_terms(p: GrowthParams, depth: int) -> List[TermSum]:
     return adm_iterate(w0, p.order, p.r, p.eta, n_iterations=depth)
 
 
-def check_monthly(obs: ObservationSeries) -> None:
-    """Raise :class:`DomainError` unless the observations fall on consecutive
-    months: a prediction grid steps one month per row, so a gap would pair
-    a one-month prediction with a multi-month observation."""
-    for (m1, _), (m2, _) in zip(obs.points, obs.points[1:]):
-        if m2 != m1 + 1:
-            raise DomainError(
-                f"observations skip from month {m1} to month {m2}; "
-                "the prediction grid needs one observation per month"
-            )
-
-
 def estimate_eta(obs: ObservationSeries, mode: EtaMode = EtaMode.ABSOLUTE) -> EtaSchedule:
     """Growth rates between neighbouring observations, each keyed by the
     month its step starts at: observations at months 4..7 give keys 4, 5, 6.
 
-    ABSOLUTE: eta = (h2 - h1) / (m2 - m1) for observations (m1, h1), (m2, h2).
+    The observations must fall on consecutive months, because a prediction
+    grid steps one month per row: a gap raises :class:`DomainError` naming
+    the first one.  Fewer than two observations raise ValidationError.
+
+    ABSOLUTE: eta = h2 - h1 for observations (m, h1), (m + 1, h2).
     SPECIFIC: the same quantity divided by h1 (per-capita rate).
     """
     pts = obs.points
@@ -185,21 +172,16 @@ def estimate_eta(obs: ObservationSeries, mode: EtaMode = EtaMode.ABSOLUTE) -> Et
         raise ValidationError("need at least 2 observations to estimate rates")
     rates = []
     for (m1, h1), (m2, h2) in zip(pts, pts[1:]):
-        eta = (h2 - h1) / (m2 - m1)
+        if m2 != m1 + 1:
+            raise DomainError(
+                f"observations skip from month {m1} to month {m2}; "
+                "the prediction grid needs one observation per month"
+            )
+        eta = h2 - h1
         if mode is EtaMode.SPECIFIC:
             eta /= h1
         rates.append((m1, eta))
     return EtaSchedule(tuple(rates))
-
-
-def step_exponent(r: float, eta: float, order: FracOrder, convention: Convention) -> float:
-    """Log growth factor of one monthly step; positive means an increase."""
-    rb = r ** order.beta
-    if convention is Convention.CUMULATIVE:
-        return r + eta - rb
-    if convention is Convention.CUMULATIVE_NO_AGE:
-        return eta - rb
-    raise DomainError("step_exponent applies to the cumulative conventions only")
 
 
 def predict_table(
@@ -235,9 +217,8 @@ def predict_table(
                 for o in orders
             ))
     else:
-        # The cumulative steps of step_exponent with r^beta taken once per
-        # order and (r + eta) once per row: the same float operations, so
-        # the rows are bit-identical.
+        # One monthly factor e^{(r + eta) - r^beta}, or e^{eta - r^beta}
+        # without aging, with r^beta taken once per order.
         rbs = [r ** o.beta for o in orders]
         aging = convention is Convention.CUMULATIVE
         prev = rows[0]
@@ -245,7 +226,7 @@ def predict_table(
             base = r + eta if aging else eta
             prev = tuple(p * math.exp(base - b) for p, b in zip(prev, rbs))
             rows.append(prev)
-    return PredictionGrid(months, tuple(orders), tuple(rows), convention)
+    return PredictionGrid(months, tuple(orders), tuple(rows))
 
 
 def decreasing_steps(grid: PredictionGrid) -> List[Tuple[int, float]]:
@@ -283,25 +264,24 @@ def fit_order(
     convention: Convention = Convention.CUMULATIVE,
     eta_mode: EtaMode = EtaMode.ABSOLUTE,
 ) -> Tuple[FracOrder, Dict[FracOrder, float]]:
-    """Score every candidate order by MAE and return the best.
+    """(best order, MAE per order): the ``fracgrow fit`` pipeline without the
+    month-8 override.
 
-    Rates are estimated from the observations, which must fall on
-    consecutive months (:func:`check_monthly`), the grid is generated per
-    order, and each column is scored against the observed lengths.  Ties
-    break toward the smaller beta.
+    Rates come from :func:`estimate_eta` (consecutive months only), the
+    grid from :func:`predict_table` starting at the first observed length,
+    the scores from :func:`order_scores`, and the pick from
+    :func:`best_order`.
     """
-    if not orders:
-        raise ValidationError("need at least one candidate order")
-    check_monthly(obs)
     observed = obs.lengths
-    grid = predict_table(observed[0], r, estimate_eta(obs, eta_mode), list(orders), convention)
+    grid = predict_table(observed[0], r, estimate_eta(obs, eta_mode), orders, convention)
     scores = order_scores(grid, observed)
-    return _best_order(scores, len(obs.points)), scores
+    return best_order(scores, len(observed)), scores
 
 
-def _best_order(scores: Dict[FracOrder, float], n_observations: int) -> FracOrder:
+def best_order(scores: Dict[FracOrder, float], n_observations: int) -> FracOrder:
     """Order with the lowest MAE over ``n_observations`` points; ties break
-    toward the smaller beta."""
+    toward the smaller beta.  Fewer than 3 observations raise
+    ValidationError."""
     if n_observations < 3:
         raise ValidationError("need at least 3 observations to fit the order")
     return min(sorted(scores, key=lambda o: o.beta), key=lambda o: scores[o])

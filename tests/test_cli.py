@@ -10,6 +10,7 @@ from fracgrow.cli import (
     write_plot_csv,
 )
 from fracgrow.errors import ParseError
+from fracgrow.fractional import FracOrder
 
 from synthetic import self_consistent_series
 
@@ -224,6 +225,22 @@ class TestFlags:
         with pytest.raises(SystemExit) as exc:
             main(["predict", "--reference", "--convention", "sideways"])
         assert exc.value.code == 2
+
+    def test_m0_with_obs_is_usage_error(self, capsys, tmp_path):
+        # the grid starts at the first observed length, so --m0 would be ignored
+        path = write_obs(tmp_path / "obs.csv", [1.0, 1.2, 1.5])
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--obs", path, "--m0", "7", "--json", str(tmp_path / "o.json")])
+        assert exc.value.code == 2
+        assert "--m0" in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_eta_mode_without_obs_is_usage_error(self, capsys):
+        # only observed lengths are turned into rates
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--reference", "--eta-mode", "specific"])
+        assert exc.value.code == 2
+        assert "--eta-mode" in capsys.readouterr().err
 
 
 class TestLoadObservations:
@@ -462,6 +479,17 @@ class TestMonthGaps:
         assert [row.split(",")[0] for row in rows] == ["month", "4", "5", "6", "7"]
         assert rows[1].split(",")[3] == "1"
 
+    @pytest.mark.parametrize("command", ["predict", "fit"])
+    def test_gap_at_month_7_with_override_names_the_gap(self, capsys, tmp_path, command):
+        # the gap is reported before the override looks for the step 7 -> 8
+        path = tmp_path / "obs.csv"
+        path.write_text("month,length\n" + "".join(f"{m},{1 + 0.1 * m}\n" for m in range(1, 13) if m != 7))
+        code, out, err = run(capsys, command, "--obs", str(path), "--correct-month8", "0.38")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: observations skip from month 6 to month 8;")
+        assert len(err.splitlines()) == 1
+
     def test_consecutive_months_after_month_one_are_accepted(self, capsys, tmp_path):
         lengths = self_consistent_series(0.5322, 0.04305, 0.7, 10)
         path = write_obs(tmp_path / "obs.csv", lengths, start=4)
@@ -555,6 +583,21 @@ class TestFitCommand:
         assert code == 0
         assert "best order: beta=0.7" in out
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("convention", list(growth.Convention))
+    @pytest.mark.parametrize("eta_mode", list(growth.EtaMode))
+    def test_matches_fit_order(self, capsys, tmp_path, convention, eta_mode):
+        lengths = self_consistent_series(0.5322, 0.04305, 0.7, 12)
+        path, json_path = write_obs(tmp_path / "obs.csv", lengths), tmp_path / "out.json"
+        betas = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+        code, out, _ = run(capsys, "fit", "--obs", path, "--orders", ",".join(map(str, betas)),
+                           "--convention", convention.value, "--eta-mode", eta_mode.value,
+                           "--json", str(json_path))
+        assert code == 0
+        best, scores = growth.fit_order(load_observations(path), [FracOrder(b) for b in betas],
+                                        0.04305, convention, eta_mode)
+        assert json.loads(json_path.read_text())["scores"] == {f"{o.beta:g}": s for o, s in scores.items()}
+        assert out.splitlines()[-1] == f"best order: beta={best.beta:g}"
 
     def test_correct_month8_applies(self, capsys, tmp_path):
         path = write_obs(tmp_path / "obs.csv", self_consistent_series(0.5322, 0.04305, 0.7, 10))

@@ -19,7 +19,6 @@ from fracgrow.growth import (
     predict_table,
     series_term,
     series_terms,
-    step_exponent,
 )
 from fracgrow.terms import evaluate
 
@@ -117,20 +116,22 @@ class TestSeriesTerm:
 class TestEstimateEta:
     def test_absolute(self):
         sched = estimate_eta(obs_from_lengths([2.0, 3.0]))
-        assert sched.values == [1.0]
+        assert sched.rates == ((1, 1.0),)
 
     def test_specific(self):
         sched = estimate_eta(obs_from_lengths([2.0, 3.0]), EtaMode.SPECIFIC)
-        assert sched.values == [0.5]
+        assert sched.rates == ((1, 0.5),)
 
     def test_constant_series(self):
         for mode in EtaMode:
             sched = estimate_eta(obs_from_lengths([2.0, 2.0, 2.0]), mode)
-            assert sched.values == [0.0, 0.0]
+            assert sched.rates == ((1, 0.0), (2, 0.0))
 
-    def test_uses_time_gaps(self):
+    @pytest.mark.parametrize("mode", list(EtaMode))
+    def test_month_gap_rejected(self, mode):
         obs = ObservationSeries(((1, 2.0), (3, 4.0)))
-        assert estimate_eta(obs).values == [1.0]
+        with pytest.raises(DomainError, match="observations skip from month 1 to month 3"):
+            estimate_eta(obs, mode)
 
     def test_needs_two_points(self):
         with pytest.raises(ValidationError):
@@ -211,15 +212,20 @@ class TestPredictTable:
 
 
 class TestMonth8Diagnostic:
+    @staticmethod
+    def step(eta):
+        """The two rows of a one-rate grid over the step from month 7 to 8."""
+        grid = predict_table(0.5322, 0.04305, EtaSchedule(((7, eta),)), [FracOrder(0.5)],
+                             Convention.CUMULATIVE)
+        return grid.values[0][0], grid.values[1][0]
+
     def test_printed_rate_forces_decrease(self):
-        assert step_exponent(
-            0.04305, abalone.MONTH8_PRINTED, FracOrder(0.5), Convention.CUMULATIVE
-        ) < 0
+        month7, month8 = self.step(abalone.MONTH8_PRINTED)
+        assert month8 < month7
 
     def test_corrected_rate_increases(self):
-        assert step_exponent(
-            0.04305, abalone.MONTH8_CORRECTED, FracOrder(0.5), Convention.CUMULATIVE
-        ) > 0
+        month7, month8 = self.step(abalone.MONTH8_CORRECTED)
+        assert month8 > month7
 
     def test_decreasing_steps_flags_month_8(self):
         grid = predict_table(
@@ -310,7 +316,7 @@ class TestFitOrder:
 class TestEtaSchedule:
     def test_replace(self):
         sched = EtaSchedule(((1, 0.5), (2, 0.6)))
-        assert sched.replaced(2, 0.9).values == [0.5, 0.9]
+        assert sched.replaced(2, 0.9).rates == ((1, 0.5), (2, 0.9))
 
     def test_replace_missing_interval(self):
         with pytest.raises(ValidationError):

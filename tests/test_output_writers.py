@@ -1,7 +1,7 @@
 """The output writers print exactly the bytes of their plain reference forms:
 ``json.dump(..., indent=2)`` for the bundle and the per-cell f-strings for
-the CSVs; the prediction grid is bit-identical to stepping with
-``step_exponent``."""
+the CSVs; the prediction grid is bit-identical to stepping one monthly
+factor at a time."""
 
 import io
 import json
@@ -26,7 +26,6 @@ from fracgrow.growth import (
     PredictionGrid,
     order_scores,
     predict_table,
-    step_exponent,
 )
 
 from synthetic import self_consistent_series
@@ -156,18 +155,19 @@ def test_plot_csv_matches_fstring_form(name):
 
 
 @pytest.mark.parametrize("convention", [Convention.CUMULATIVE, Convention.CUMULATIVE_NO_AGE])
-def test_predict_table_rows_bit_identical_to_step_exponent(convention):
+def test_predict_table_rows_bit_identical_to_monthly_steps(convention):
     rng = random.Random(7)
     for _ in range(20):
         r = rng.uniform(0.01, 0.99)
         orders = [FracOrder(rng.uniform(0.05, 1.0)) for _ in range(rng.randint(1, 8))] + [FracOrder(1.0)]
         etas = [rng.uniform(-1.0, 1.0) for _ in range(rng.randint(1, 60))]
         M = rng.uniform(0.1, 5.0)
+        aging = convention is Convention.CUMULATIVE
         grid = predict_table(M, r, EtaSchedule(tuple(enumerate(etas, start=1))), orders, convention)
         prev = [M] * len(orders)
         assert [v.hex() for v in grid.values[0]] == [v.hex() for v in prev]
         for eta, row in zip(etas, grid.values[1:]):
-            prev = [p * math.exp(step_exponent(r, eta, o, convention)) for p, o in zip(prev, orders)]
+            prev = [p * math.exp((r + eta if aging else eta) - r ** o.beta) for p, o in zip(prev, orders)]
             assert [v.hex() for v in row] == [v.hex() for v in prev]
 
 
@@ -182,7 +182,7 @@ def test_order_scores_are_column_maes():
 
 
 def test_one_row_grid_scores():
-    grid = PredictionGrid((1,), (FracOrder(0.5), FracOrder(1.0)), ((2.0, 2.0),), Convention.CUMULATIVE)
+    grid = PredictionGrid((1,), (FracOrder(0.5), FracOrder(1.0)), ((2.0, 2.0),))
     assert order_scores(grid, [1.5]) == {FracOrder(0.5): 0.5, FracOrder(1.0): 0.5}
 
 
