@@ -288,13 +288,15 @@ def _predict(args: argparse.Namespace):
     """(config, grid, observed lengths, MAE per order): the pipeline shared
     by ``predict`` and ``fit``; the last two are None without observations.
     The rates come from ``--obs``, ``--reference`` or the config ``etas``,
-    with the month-8 override applied whatever their source."""
+    with the month-8 override applied whatever their source.  With
+    observations the grid starts at the first observed length, and the
+    returned config says so in ``m0``."""
     cfg = build_config(args)
-    m0, obs = cfg.m0, None
+    obs = None
     if args.obs:
         obs = load_observations(args.obs)
         schedule = estimate_eta(obs, cfg.eta_mode)
-        m0 = obs.points[0][1]
+        cfg = replace(cfg, m0=obs.lengths[0])
     elif getattr(args, "reference", False):
         schedule = abalone.reference_schedule()
     elif cfg.etas is not None:
@@ -305,7 +307,7 @@ def _predict(args: argparse.Namespace):
         )
     schedule = abalone.correct_month8(schedule, cfg.month8_override)
     orders = [FracOrder(b) for b in cfg.orders]
-    grid = predict_table(m0, cfg.r, schedule, orders, cfg.convention)
+    grid = predict_table(cfg.m0, cfg.r, schedule, orders, cfg.convention)
     if obs is None:
         return cfg, grid, None, None
     observed = obs.lengths

@@ -1,4 +1,4 @@
-"""Fractional-order growth model: closed form, series terms, rate
+"""Fractional-order growth model: closed form, decomposition iterates, rate
 estimation, prediction grids, and MAE-based order selection.
 
 The model describes a size density w(s, t) whose time derivative plus a
@@ -7,6 +7,10 @@ condition w(s, 0) = M e^{r s}.  Under the exponential rule for the spatial
 operator the decomposition series sums to the closed form
 
     w(s, t) = M * e^{r s} * e^{(eta - r^beta) * t}.
+
+The iterates of that series come from one place, :func:`series_terms`,
+which runs the recursion of :func:`fracgrow.terms.adm_iterate`; the n-th
+iterate is (eta - r^beta)^n * M e^{r s} t^n / n!.
 """
 
 from __future__ import annotations
@@ -62,10 +66,6 @@ class ObservationSeries:
                     f"lengths must be positive and finite, got {length} at month {month}"
                 )
             prev = month
-
-    @property
-    def months(self) -> List[int]:
-        return [m for m, _ in self.points]
 
     @property
     def lengths(self) -> List[float]:
@@ -135,19 +135,6 @@ def closed_form(p: GrowthParams, s: float, t: float) -> float:
     if value == math.inf:
         raise DomainError(f"closed form overflows a float at s={s}, t={t}")
     return value
-
-
-def series_term(p: GrowthParams, n: int) -> TermSum:
-    """n-th decomposition iterate: (eta - r^beta)^n * M with time power n."""
-    if n < 0:
-        raise ValidationError("series index must be non-negative")
-    rb = p.r ** p.order.beta
-    # Accumulate with the same float operations the recursion performs so
-    # the result is bit-identical to adm_iterate's iterate.
-    c = p.M
-    for _ in range(n):
-        c = -(c * rb) + c * p.eta
-    return TermSum.single(c, exp_mult=_SERIES_W0_EXP_MULT, t_power=n)
 
 
 def series_terms(p: GrowthParams, depth: int) -> List[TermSum]:

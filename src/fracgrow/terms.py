@@ -85,22 +85,10 @@ class TermSum:
     def scaled(self, factor: float) -> "TermSum":
         return TermSum(coeffs={k: c * factor for k, c in self._coeffs.items()})
 
-    def __add__(self, other: "TermSum") -> "TermSum":
-        return term_add(self, other)
-
-    def __sub__(self, other: "TermSum") -> "TermSum":
-        return term_add(self, other.scaled(-1.0))
-
-    def __mul__(self, other: "TermSum") -> "TermSum":
-        return term_multiply(self, other)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TermSum):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
 
     def __len__(self) -> int:
         return len(self._coeffs)
@@ -241,24 +229,27 @@ def adm_iterate(
         w_{n+1} = -Lt^-1(Ls(w_n)) + eta * Lt^-1(w_n) - Lt^-1(A_n)
 
     plus Lt^-1(source) in w_1 alone, with the source and nonlinear
-    contributions dropped when absent.  The powers behind A_n grow by one
-    order per step and live for this call: N steps with top power J make
-    (J - 1) N (N + 1) / 2 term products.
+    contributions dropped when absent.  Each iterate is added up in one
+    coefficient map, in the order Lt^-1(source), -Lt^-1(Ls(w_n)),
+    +eta * Lt^-1(w_n), -Lt^-1(A_n), and validated once: an iterate raises
+    :class:`TermOverflowError` when one of its own coefficients is NaN or
+    exceeds ``COEFF_LIMIT``, whatever the partial sums on the way.  The
+    powers behind A_n grow by one order per step and live for this call:
+    N steps with top power J make (J - 1) N (N + 1) / 2 term products.
     """
     if n_iterations < 0:
         raise ValidationError("n_iterations must be non-negative")
     ws = [w0]
     powers = _new_powers(nl, ws) if nl is not None else None
     for i in range(n_iterations):
-        nxt = TermSum.zero()
-        if i == 0 and source is not None:
-            nxt = term_add(nxt, apply_Lt_inverse(source))
-        nxt = term_add(nxt, apply_Lt_inverse(apply_Ls(ws[i], order, r)).scaled(-1.0))
-        nxt = term_add(nxt, apply_Lt_inverse(ws[i]).scaled(eta))
+        acc = dict(apply_Lt_inverse(source)._coeffs) if i == 0 and source is not None else {}
+        ls = apply_Ls(ws[i], order, r)._coeffs
+        # Ls keeps the keys of w_n with k != 0, so Lt^-1(w_n) covers them all
+        for (k, n), c in apply_Lt_inverse(ws[i])._coeffs.items():
+            acc[k, n] = acc.get((k, n), 0.0) - ls.get((k, n - 1), 0.0) + c * eta
         if powers is not None:
-            a_n = _adomian_step(nl, powers, i)
-            nxt = term_add(nxt, apply_Lt_inverse(a_n).scaled(-1.0))
-        ws.append(nxt)
+            _accumulate(acc, apply_Lt_inverse(_adomian_step(nl, powers, i)).scaled(-1.0))
+        ws.append(TermSum(coeffs=acc))
     return ws
 
 

@@ -24,7 +24,7 @@ from fracgrow.growth import (
     ObservationSeries,
     closed_form,
     fit_order,
-    series_term,
+    series_terms,
 )
 from fracgrow.special import MLParams, gamma, mittag_leffler
 from fracgrow.terms import (
@@ -88,7 +88,7 @@ def test_criterion_3_series_vs_closed_form():
             for month_offset, eta in enumerate(abalone.REFERENCE_ETAS, start=1):
                 p = GrowthParams(M, r, eta, FracOrder(beta))
                 t = s = float(month_offset)  # months 2..24 -> elapsed 1..23
-                partial = sum(evaluate(series_term(p, n), r, s, t) for n in range(26))
+                partial = sum(evaluate(w, r, s, t) for w in series_terms(p, 25))
                 exact = closed_form(p, s, t)
                 assert abs(partial - exact) <= 1e-12 * exact
 

@@ -610,3 +610,69 @@ class TestFitCommand:
         assert fixed["grid"]["values"][6] == plain["grid"]["values"][6]
         assert fixed["grid"]["values"][7] != plain["grid"]["values"][7]
         assert fixed["scores"] != plain["scores"]
+
+
+class TestM0Echo:
+    """With ``--obs`` the grid starts at the first observed length, and every
+    echo of M says so, also over a config file that sets ``m0``."""
+
+    @pytest.mark.parametrize("command", ["predict", "fit"])
+    def test_every_echo_is_the_grid_start(self, capsys, tmp_path, command):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m0 = 7\n")
+        path = write_obs(tmp_path / "obs.csv", [1.0, 1.2, 1.5, 1.7])
+        json_path, csv_path = tmp_path / "out.json", tmp_path / "out.csv"
+        code, _, _ = run(capsys, command, "--config", str(cfg), "--obs", path, "--orders", "0.5,1.0",
+                         "--json", str(json_path), "--csv", str(csv_path))
+        assert code == 0
+        bundle = json.loads(json_path.read_text())
+        start = bundle["grid"]["values"][0][0]
+        assert start == 1.0
+        assert bundle["config"]["m0"] == bundle["provenance"]["config"]["m0"] == start
+        assert f"# m0 = {start}" in csv_path.read_text().splitlines()
+
+
+class TestInputChecks:
+    def _one_line_error(self, code, err):
+        assert code == 1
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert "Traceback" not in err
+
+    def test_config_line_without_equals(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("r = 0.05\norders 0.5\n")
+        code, out, err = run(capsys, "predict", "--reference", "--config", str(cfg))
+        self._one_line_error(code, err)
+        assert f"{cfg}:2: expected 'key = value'" in err
+        assert out == ""
+
+    def test_blank_and_comment_lines_load(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("\n# a comment = not a key\n   \nr = 0.05  # trailing comment\n\n")
+        json_path = tmp_path / "out.json"
+        code, _, err = run(capsys, "predict", "--reference", "--config", str(cfg),
+                           "--json", str(json_path))
+        assert code == 0, err
+        assert json.loads(json_path.read_text())["config"]["r"] == 0.05
+
+    def test_observation_row_with_three_fields(self, capsys, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("month,length\n1,0.5\n2,0.6,0.7\n")
+        code, out, err = run(capsys, "fit", "--obs", str(path))
+        self._one_line_error(code, err)
+        assert f"{path}:3: expected two fields, got 3" in err
+        assert out == ""
+
+    def test_observation_file_with_only_a_header(self, capsys, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("month,length\n")
+        code, out, err = run(capsys, "predict", "--obs", str(path))
+        self._one_line_error(code, err)
+        assert "empty" in err
+        assert out == ""
+
+    def test_series_depth_zero(self, capsys):
+        code, out, err = run(capsys, "series", "--eta", "0.1", "--beta", "1.0", "--depth", "0")
+        self._one_line_error(code, err)
+        assert "series_depth" in err
+        assert out == ""

@@ -284,13 +284,24 @@ class TestAdmIterate:
         exact = (c / eta + (w0 ** -2 - c / eta) * math.exp(-2.0 * eta * t)) ** -0.5
         assert abs(sum(evaluate(w, 0.2, 1.0, t) for w in ws) - exact) <= 1e-13
 
+    def test_limit_checked_on_the_returned_iterate(self):
+        # eta * Lt^-1(w_0) alone is 1.2e300, above COEFF_LIMIT, but w_1 is
+        # 8e299 * (eta - r): only the coefficients returned are checked
+        ws = adm_iterate(ts((8e299, 1, 0)), FracOrder(1.0), 0.5, 1.5, n_iterations=1)
+        assert ws[1] == ts((8e299 * 1.5 - 8e299 * 0.5, 1, 1))
+        with pytest.raises(TermOverflowError):
+            adm_iterate(ts((8e299, 1, 0)), FracOrder(1.0), 0.5, 2.5, n_iterations=1)
 
-def rebuilt_iterates(w0, order, r, eta, nl, n_iterations):
+
+def rebuilt_iterates(w0, order, r, eta, nl, n_iterations, source=None):
     """The recursion with every A_n rebuilt from scratch by the public
     ``adomian_polynomials``, adding terms in adm_iterate's order."""
     ws = [w0]
     for n in range(n_iterations):
-        nxt = term_add(TermSum.zero(), apply_Lt_inverse(apply_Ls(ws[n], order, r)).scaled(-1.0))
+        nxt = TermSum.zero()
+        if n == 0 and source is not None:
+            nxt = term_add(nxt, apply_Lt_inverse(source))
+        nxt = term_add(nxt, apply_Lt_inverse(apply_Ls(ws[n], order, r)).scaled(-1.0))
         nxt = term_add(nxt, apply_Lt_inverse(ws[n]).scaled(eta))
         a_n = adomian_polynomials(nl, ws, n)
         ws.append(term_add(nxt, apply_Lt_inverse(a_n).scaled(-1.0)))
@@ -313,6 +324,16 @@ class TestIncrementalPowers:
         w0 = ts((M, 1, 0))
         ws = adm_iterate(w0, FracOrder(beta), r, eta, nl=nl, n_iterations=20)
         assert ws == rebuilt_iterates(w0, FracOrder(beta), r, eta, nl, 20)
+        # terms constant in s, which Ls drops, beside terms it keeps, and a
+        # source on the same keys: w_1 adds all four contributions, whose
+        # order changes the rounding (uniform(-1, 1) draws lie on a 2^-52
+        # grid where sums are exact, hence the divisions)
+        keys = [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1)]
+        for _ in range(10):
+            w0 = ts(*((rng.uniform(-1.0, 1.0) / 3.0, k, n) for k, n in keys))
+            source = ts(*((rng.uniform(-1.0, 1.0) / 7.0, k, n) for k, n in keys))
+            ws = adm_iterate(w0, FracOrder(beta), r, eta, nl=nl, source=source, n_iterations=4)
+            assert ws == rebuilt_iterates(w0, FracOrder(beta), r, eta, nl, 4, source)
 
     @pytest.mark.parametrize("kind", sorted(NONLINEARITIES))
     @pytest.mark.parametrize("depth", [1, 6, 15])
