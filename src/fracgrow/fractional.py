@@ -90,10 +90,19 @@ def caputo_power(order: FracOrder, p: PowerFunction, s: float) -> float:
 
 
 def caputo_exp_paper_rule(order: FracOrder, r: float, scale: float, s: float) -> float:
-    """Simplified rule: derivative of scale * e^{r s} is scale * r^beta * e^{r s}."""
+    """Simplified rule: derivative of scale * e^{r s} is scale * r^beta * e^{r s}.
+
+    Raises :class:`DomainError` where that overflows a float.
+    """
     if r <= 0:
         raise DomainError(f"growth rate r must be positive, got {r}")
-    return scale * r ** order.beta * math.exp(r * s)
+    try:
+        value = scale * r ** order.beta * math.exp(r * s)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"paper-rule Caputo derivative is not finite or overflows a float (r={r}, s={s}, scale={scale})")
+    return value
 
 
 def caputo_exp_exact(order: FracOrder, r: float, s: float) -> float:
@@ -122,7 +131,9 @@ def caputo_numeric(
 
     The mesh is graded toward the singular endpoint xi = s; on each panel
     f' is interpolated linearly and the kernel (s-xi)^(-beta) is integrated
-    exactly, so the singularity is never sampled.
+    exactly, so the singularity is never sampled.  An integrand that
+    raises ``OverflowError``, or a result that is not finite, raises
+    :class:`DomainError`.
     """
     b = order.beta
     if not 0.0 < b < 1.0:
@@ -133,7 +144,10 @@ def caputo_numeric(
     n = q.nodes
     g = q.grading
     xi = [s * (1.0 - (1.0 - i / n) ** g) for i in range(n + 1)]
-    f_vals = [f_prime(x) for x in xi]
+    try:
+        f_vals = [f_prime(x) for x in xi]
+    except OverflowError:
+        raise DomainError(f"the integrand overflows a float on [0, {s}]") from None
 
     one_mb = 1.0 - b
     two_mb = 2.0 - b
@@ -151,4 +165,7 @@ def caputo_numeric(
         m0 = (pa - pc) / one_mb
         m1 = ta * m0 - (ta * pa - tc * pc) / two_mb
         total += fa * m0 + (fc - fa) / h * m1
-    return total / gamma(one_mb)
+    value = total / gamma(one_mb)
+    if not math.isfinite(value):
+        raise DomainError(f"Caputo quadrature on [0, {s}] is not finite: {value}")
+    return value

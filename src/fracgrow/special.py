@@ -17,11 +17,15 @@ is summed directly with a relative-term stopping rule.
   returned without the sum.
 * Other parameters are summed in floating point.  For z < 0 the sum
   alternates and loses about the ratio of its largest term to its value,
-  e^{|z|^(1/alpha)} or more, to cancellation.  So this path meets 1e-9 only
-  where that loss is small: alpha = 0.5 on [-3, 10] and alpha in
-  [0.75, 1.75] on [-5, 50] were checked against high-precision references.
-  Outside such regions it can return a wrong number without raising
-  (E_{1/2}(-8) comes out as 3.2e13; the true value is 0.0700).
+  e^{|z|^(1/alpha)} or more, to cancellation.  The sum of |terms| is kept
+  beside the sum, and where eps times it exceeds 1e-9 of the result the
+  call raises :class:`DomainError` instead of returning: E_{1/2}(-8),
+  whose float sum is 3.2e13 against a true 0.0700, raises.  The path
+  returns on alpha = 0.5 over [-3, 10] and alpha in [0.75, 1.75] over
+  [-5, 50], where it was checked to 1e-9 against high-precision references,
+  save next to a real zero of E_alpha (alpha > 1 has some in [-5, 0]): where
+  |E_alpha(z)| falls below about 2e-6 no relative accuracy is left, and it
+  raises there too.
 
 Non-finite arguments and results that overflow a float raise
 :class:`DomainError`.
@@ -30,12 +34,14 @@ Non-finite arguments and results that overflow a float raise
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, NonConvergenceError, PoleError, ValidationError
 
 DEFAULT_TOL = 1e-15
 DEFAULT_MAX_TERMS = 500
+_FLOAT_PATH_REL_ERR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,6 +113,7 @@ def mittag_leffler(
     log_abs_z = math.log(abs(z))
     sign_z = 1.0 if z > 0 else -1.0
     sign = 1.0
+    absum = total
     for m in range(1, max_terms + 1):
         sign *= sign_z
         # z^m / Gamma(m*alpha + beta), in log magnitude to dodge overflow
@@ -116,9 +123,18 @@ def mittag_leffler(
         except OverflowError:
             raise _ml_overflow(alpha, beta, z) from None
         total += term
+        absum += abs(term)
         if abs(term) <= tol * abs(total):
             if not math.isfinite(total):
                 raise _ml_overflow(alpha, beta, z)
+            # each term is rounded to about eps of itself, so the sum is
+            # good to about eps * absum: raise where that is more than the
+            # promised relative error of the sum
+            if absum * sys.float_info.epsilon > _FLOAT_PATH_REL_ERR * abs(total):
+                raise DomainError(
+                    f"Mittag-Leffler float series loses too much to cancellation: terms of total size "
+                    f"{absum:.3g} sum to {total:.3g} (alpha={alpha}, beta={beta}, z={z})"
+                )
             return total
     raise _ml_no_convergence(alpha, beta, z, max_terms)
 

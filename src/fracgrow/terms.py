@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .errors import TermOverflowError, ValidationError
+from .errors import DomainError, TermOverflowError, ValidationError
 from .fractional import FracOrder
 
 T_POWER_CAP = 64
@@ -48,9 +48,15 @@ class TermSum:
     keyed by (exp_mult, t_power); a coefficient that is NaN or exceeds
     ``COEFF_LIMIT`` in magnitude raises :class:`TermOverflowError`.
     Instances are immutable; all operations return fresh sums.
+
+    Because a sum never changes, the two layouts :func:`term_multiply`
+    reads are built on first use and kept: the terms sorted by key, for a
+    left operand, and the terms grouped by t-power, for a right one.  The
+    Adomian recursion reuses each iterate and each partial power as an
+    operand many times, so each layout is built once per sum.
     """
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_coeffs", "_by_key", "_by_power")
 
     def __init__(self, terms: Iterable[SeriesTerm] = (), *,
                  coeffs: Optional[Mapping[Tuple[int, int], float]] = None):
@@ -63,6 +69,23 @@ class TermSum:
         for c in self._coeffs.values():
             if not abs(c) <= COEFF_LIMIT:
                 raise TermOverflowError(f"coefficient {c} is not finite or exceeds {COEFF_LIMIT}")
+        self._by_key = None
+        self._by_power = None
+
+    def _terms_by_key(self) -> List[Tuple[int, int, float]]:
+        """(exp_mult, t_power, coeff) triples sorted by (exp_mult, t_power)."""
+        if self._by_key is None:
+            self._by_key = [(k, n, c) for (k, n), c in sorted(self._coeffs.items())]
+        return self._by_key
+
+    def _terms_by_power(self) -> List[Tuple[int, List[Tuple[int, float]]]]:
+        """(t_power, [(exp_mult, coeff), ...]) groups sorted by t_power."""
+        if self._by_power is None:
+            groups: Dict[int, List[Tuple[int, float]]] = {}
+            for k, n, c in self._terms_by_key():
+                groups.setdefault(n, []).append((k, c))
+            self._by_power = sorted(groups.items())
+        return self._by_power
 
     @classmethod
     def zero(cls) -> "TermSum":
@@ -133,18 +156,41 @@ def term_multiply(x: TermSum, y: TermSum, n_cap: int = T_POWER_CAP) -> TermSum:
     """Product of two sums.
 
     The binomial factor C(n1+n2, n1) converts (t^n1/n1!)(t^n2/n2!) into
-    the normalized t^(n1+n2)/(n1+n2)! form.
+    the normalized t^(n1+n2)/(n1+n2)! form.  It depends on the t-powers
+    alone, so it is taken once per left term and t-power of ``y``, over the
+    layouts each :class:`TermSum` keeps.  Each output key gets at most one
+    product per left term, and the left terms are taken in key order, so
+    every coefficient is added up in the order of a plain loop over term
+    pairs in key order and rounds the same.  (Dense per-exp_mult lists
+    indexed by t-power were slower: a cubic iterate holds only about n + 1
+    terms, spread over its exp_mults, so the per-row overhead outweighs the
+    hashing it saves.)
     """
     coeffs: Dict[Tuple[int, int], float] = {}
-    y_items = sorted(y._coeffs.items())
-    for (k1, n1), c1 in sorted(x._coeffs.items()):
-        for (k2, n2), c2 in y_items:
+    get = coeffs.get
+    y_groups = y._terms_by_power()
+    for k1, n1, c1 in x._terms_by_key():
+        for n2, group in y_groups:
             n = n1 + n2
             if n > n_cap:
-                raise TermOverflowError(f"time power {n} exceeds cap {n_cap}")
-            key = (k1 + k2, n)
-            coeffs[key] = coeffs.get(key, 0.0) + c1 * c2 * math.comb(n, n1)
-    return TermSum(coeffs=coeffs)
+                first = next(m for _, m in _pair_keys(x, y) if m > n_cap)
+                raise TermOverflowError(f"time power {first} exceeds cap {n_cap}")
+            b = float(math.comb(n, n1))
+            for k2, c2 in group:
+                key = (k1 + k2, n)
+                coeffs[key] = get(key, 0.0) + c1 * c2 * b
+    try:
+        return TermSum(coeffs=coeffs)
+    except TermOverflowError:
+        # several coefficients may overflow: name the one whose key comes first
+        return TermSum(coeffs={key: coeffs[key] for key in _pair_keys(x, y)})
+
+
+def _pair_keys(x: TermSum, y: TermSum) -> Iterator[Tuple[int, int]]:
+    """The output key of each term pair, for the left and then the right
+    terms taken in key order: the order :func:`term_multiply` reports
+    errors in, whatever order it adds the pairs in."""
+    return ((k1 + k2, n1 + n2) for k1, n1, _ in x._terms_by_key() for k2, n2, _ in y._terms_by_key())
 
 
 def apply_Ls(x: TermSum, order: FracOrder, r: float) -> TermSum:
@@ -254,11 +300,19 @@ def adm_iterate(
 
 
 def evaluate(x: TermSum, r: float, s: float, t: float) -> float:
-    """Numeric value sum of c * e^{k r s} * t^n / n! over all terms."""
+    """Numeric value sum of c * e^{k r s} * t^n / n! over all terms.
+
+    Raises :class:`DomainError` where that value overflows a float.
+    """
     total = 0.0
-    for (k, n), c in sorted(x._coeffs.items()):
-        factor = 1.0
-        for i in range(1, n + 1):
-            factor *= t / i
-        total += c * math.exp(k * r * s) * factor
+    try:
+        for (k, n), c in sorted(x._coeffs.items()):
+            factor = 1.0
+            for i in range(1, n + 1):
+                factor *= t / i
+            total += c * math.exp(k * r * s) * factor
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"series value at s={s}, t={t} is not finite or overflows a float")
     return total

@@ -95,6 +95,8 @@ class TestSpecialCommand:
             ["ml", "--alpha", "2", "--z=-inf"],
             ["ml", "--alpha", "0.5", "--z", "inf"],
             ["ml", "--alpha", "0.5", "--z", "-50"],
+            ["ml", "--alpha", "0.5", "--z", "-8"],
+            ["ml", "--alpha", "0.9", "--z", "-30"],
             ["ml", "--alpha", "inf", "--z", "1"],
             ["ml", "--alpha", "1", "--mlbeta", "nan", "--z", "1"],
         ],
@@ -136,6 +138,14 @@ class TestCaputoCommand:
     @pytest.mark.parametrize("flag", [["--nodes", "1"], ["--grading", "0.5"]])
     def test_bad_quadrature_flag_is_error_under_every_rule(self, capsys, rule, flag):
         code, out, err = run(capsys, "caputo", *rule, *flag, "--beta", "0.5", "--r", "0.1", "--s", "0")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("rule", [["--rule", "paper"], ["--rule", "exact"], ["--rule", "numeric"],
+                                      ["--compare"]])
+    def test_overflow_is_one_line_error(self, capsys, rule):
+        code, out, err = run(capsys, "caputo", *rule, "--beta", "0.5", "--r", "1", "--s", "800", "--nodes", "256")
         assert code == 1
         assert out == ""
         assert err.startswith("error:") and len(err.splitlines()) == 1

@@ -119,6 +119,12 @@ class TestCaputoExpRules:
     def test_paper_rule_zero_scale(self):
         assert caputo_exp_paper_rule(FracOrder(0.3), 0.2, 0.0, 5.0) == 0.0
 
+    @pytest.mark.parametrize("r,scale,s", [(1.0, 1.0, 800.0), (1.0, 1e300, 700.0)])
+    def test_paper_rule_overflow_is_domain_error(self, r, scale, s):
+        # e^800 overflows math.exp; 1e300 * e^700 overflows the product
+        with pytest.raises(DomainError):
+            caputo_exp_paper_rule(FracOrder(0.5), r, scale, s)
+
     def test_exact_classical_reduction(self):
         assert caputo_exp_exact(FracOrder(1.0), 1.0, 1.0) == pytest.approx(math.e, rel=1e-12)
 
@@ -212,6 +218,15 @@ class TestCaputoNumeric:
 
         caputo_numeric(FracOrder(0.3), f_prime, 1.5, QuadratureSpec(nodes=nodes))
         assert len(calls) == nodes + 1
+
+    def test_integrand_overflow_is_domain_error(self):
+        with pytest.raises(DomainError):
+            caputo_numeric(FracOrder(0.5), math.exp, 800.0, QuadratureSpec(nodes=256))
+
+    def test_non_finite_result_is_domain_error(self):
+        # every f' value is finite, but the weighted sum overflows
+        with pytest.raises(DomainError):
+            caputo_numeric(FracOrder(0.5), lambda xi: 1e308, 10.0, QuadratureSpec(nodes=256))
 
     def test_quadrature_spec_validation(self):
         with pytest.raises(ValidationError):

@@ -139,6 +139,30 @@ class TestMittagLeffler:
         with pytest.raises(DomainError):
             mittag_leffler(MLParams(alpha=alpha, beta=beta), z)
 
+    @pytest.mark.parametrize("alpha,z", [(0.5, -5.0), (0.5, -8.0), (0.9, -30.0), (1.21, -2.53)])
+    def test_float_path_cancellation_is_domain_error(self, alpha, z):
+        # summed in floats the first three lose 12 to 15 digits: E_{1/2}(-8) came out
+        # as 3.2e13 (true value 0.0700) and E_{0.9}(-30) as -19644; the last
+        # lies next to a zero of E_{1.21}, where the value is -4e-7
+        with pytest.raises(DomainError, match="cancellation"):
+            mittag_leffler(MLParams(alpha=alpha), z)
+
+    @pytest.mark.parametrize("alpha,z_lo,z_hi", [(0.5, -3.0, 10.0), (0.75, -5.0, 50.0), (1.25, -5.0, 50.0),
+                                                 (1.75, -5.0, 50.0)])
+    def test_float_path_returns_on_its_checked_domain(self, alpha, z_lo, z_hi):
+        mpmath = pytest.importorskip("mpmath")
+        for i in range(41):
+            z = z_lo + (z_hi - z_lo) * i / 40
+            value = mittag_leffler(MLParams(alpha=alpha), z)
+            with mpmath.workdps(40):
+                exact = mpmath.mpf(0)
+                for m in range(2000):
+                    term = mpmath.mpf(z) ** m * mpmath.rgamma(alpha * m + 1)
+                    exact += term
+                    if m > 10 and abs(term) < mpmath.mpf(10) ** -35 * abs(exact):
+                        break
+                assert abs(value - exact) <= 1e-9 * abs(exact)
+
     def test_exact_path_overflow_is_domain_error(self):
         # e^720 exceeds the float range; the sum converges once the budget allows.
         with pytest.raises(DomainError):

@@ -2,9 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracgrow import terms
-from fracgrow.errors import TermOverflowError, ValidationError
+from fracgrow.errors import DomainError, TermOverflowError, ValidationError
 from fracgrow.fractional import FracOrder
 from fracgrow.terms import (
     PolynomialNonlinearity,
@@ -87,6 +88,57 @@ class TestTermAlgebra:
     def test_negative_indices_rejected(self):
         with pytest.raises(ValidationError):
             SeriesTerm(1.0, -1, 0)
+
+
+def pair_loop_multiply(x, y, n_cap=terms.T_POWER_CAP):
+    """The product as one loop over term pairs, both sums in key order, with
+    C(n1+n2, n1) taken as an int per pair."""
+    coeffs = {}
+    y_items = sorted(y._coeffs.items())
+    for (k1, n1), c1 in sorted(x._coeffs.items()):
+        for (k2, n2), c2 in y_items:
+            n = n1 + n2
+            if n > n_cap:
+                raise TermOverflowError(f"time power {n} exceeds cap {n_cap}")
+            key = (k1 + k2, n)
+            coeffs[key] = coeffs.get(key, 0.0) + c1 * c2 * math.comb(n, n1)
+    return TermSum(coeffs=coeffs)
+
+
+def outcome(multiply, x, y, n_cap):
+    """A product's coefficients by float.hex, or the error it raised."""
+    try:
+        product = multiply(x, y, n_cap)
+    except TermOverflowError as exc:
+        return "raised", str(exc)
+    return sorted((k, n, c.hex()) for (k, n), c in product._coeffs.items())
+
+
+# small integers and halves cancel exactly, so some keys sum to zero and drop
+# out; 1e200 squared overflows the coefficient limit
+coefficients = st.one_of(
+    st.sampled_from([1.0, -1.0, 0.5, -0.5, 3.0, -3.0]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False),
+    st.sampled_from([1e200, -1e200]),
+)
+term_sums = st.lists(
+    st.tuples(coefficients, st.integers(0, 3), st.integers(0, 12)), max_size=8
+).map(lambda triples: ts(*triples))
+
+
+class TestMultiplyLayouts:
+    @settings(max_examples=300, deadline=None)
+    @given(term_sums, term_sums, term_sums, st.integers(0, 24))
+    def test_bit_identical_to_pair_loop(self, x, y, z, n_cap):
+        # y is a right operand, then a left one, then a right one again, so
+        # its kept layouts are read after they were built
+        for a, b in ((x, y), (y, z), (x, y), (y, x), (y, y)):
+            for cap in (n_cap, terms.T_POWER_CAP):
+                assert outcome(term_multiply, a, b, cap) == outcome(pair_loop_multiply, a, b, cap)
+            top = [max((n for _, n in p._coeffs), default=None) for p in (a, b)]
+            if None not in top and sum(top) > n_cap:
+                with pytest.raises(TermOverflowError, match="exceeds cap"):
+                    term_multiply(a, b, n_cap)
 
 
 class TestOperators:
@@ -358,6 +410,12 @@ class TestEvaluate:
 
     def test_initial_term_at_origin(self):
         assert evaluate(ts((0.5322, 1, 0)), 0.04305, 0.0, 7.0) == 0.5322
+
+    @pytest.mark.parametrize("t_power,s,t", [(0, 2000.0, 1.0), (3, 1.0, 1e300)])
+    def test_overflow_is_domain_error(self, t_power, s, t):
+        # e^{1000} overflows math.exp; t^3/3! at t = 1e300 is inf
+        with pytest.raises(DomainError):
+            evaluate(TermSum.single(1.0, 1, t_power), 0.5, s, t)
 
     def test_third_order_term(self):
         M, r, eta, beta, s, t = 2.0, 0.3, 0.8, 0.6, 1.5, 2.5
